@@ -196,11 +196,12 @@ struct JobOptions {
   /// absorbed by the ladder instead of honoring fail_on_vm_restart.
   MemGovernorConfig governor;
   /// Host threads executing partitions within a superstep: 0 = one per
-  /// hardware thread, 1 = serial fast path, N = exactly N lanes (capped at
-  /// the partition count). Purely a wall-clock knob: results, modeled times,
-  /// and every metric are bit-identical at any setting — compute stages its
-  /// emissions into per-partition outboxes and a deterministic merge applies
-  /// them in serial order.
+  /// hardware thread, 1 = the calling thread only (no pool), N = exactly N
+  /// lanes (capped at the partition count). Purely a wall-clock knob: every
+  /// setting runs the same superstep path, so results, modeled times, and
+  /// every metric are bit-identical — compute stages its emissions into
+  /// per-chunk outboxes and a deterministic merge applies them in sender-rank
+  /// order.
   std::uint32_t parallelism = 0;
   /// Active vertices per frontier-bag leaf chunk — the unit of work the
   /// lanes steal from each other. Another pure wall-clock knob: chunk

@@ -9,20 +9,21 @@
 // the cloud CostModel, and (4) runs the barrier: master compute, swath
 // scheduling, elastic scaling, halt detection.
 //
-// Partition compute within a superstep runs on a persistent host thread
-// pool (JobOptions::parallelism). The unit of work is a frontier-bag chunk:
-// each partition's active list is packed into a splittable bag
-// (src/util/bag.hpp) whose grain-sized leaves become chunks that lanes
-// drain — and steal from each other when a skewed frontier leaves some
-// lanes dry. Chunks never touch shared engine state: every side effect
+// Every superstep takes one path: compute, then route, then barrier. The
+// unit of compute is a frontier-bag chunk: each partition's active list is
+// packed into a splittable bag (src/util/bag.hpp) whose grain-sized leaves
+// become chunks. Chunks never touch shared engine state: every side effect
 // (emissions, activations, wakes, aggregate contributions, counters) is
-// staged in per-chunk scratch, and a deterministic merge — parallel across
-// destination partitions, ordered by (sender rank, emission order) within
+// staged in per-chunk scratch, and a deterministic merge — one task per
+// destination partition, ordered by (sender rank, emission order) within
 // each — applies routing, combining, activation, and cost counters.
-// Results and modeled times are therefore bit-identical at any thread
-// count and any steal schedule; only host wall-clock changes.
-// Program::compute must be thread-safe (const/stateless, as the contract
-// below already implies).
+// JobOptions::parallelism only decides who runs the chunks and merges: at
+// 1 the calling thread runs them in order; above 1 a persistent host thread
+// pool runs them, and lanes steal chunks from each other when a skewed
+// frontier leaves some lanes dry. Results and modeled times are therefore
+// bit-identical at any thread count and any steal schedule; only host
+// wall-clock changes. Program::compute must be thread-safe
+// (const/stateless, as the contract below already implies).
 //
 // Programs that declare `kDirectionOptimized` additionally get Beamer-style
 // direction optimization: when the modeled frontier is dense, a broadcast
@@ -126,12 +127,9 @@ struct JobResult : JobReport {
   std::vector<typename Program::VertexValue> values;
 };
 
-/// "Not running inside a frontier chunk": context callbacks with this chunk
-/// id apply their effects directly (the serial fast path); any other id
-/// stages them into that chunk's scratch for the deterministic merge.
-inline constexpr std::size_t kNoChunk = static_cast<std::size_t>(-1);
-
-/// Handed to Program::compute for each active vertex.
+/// Handed to Program::compute for each active vertex. Every callback stages
+/// its effect in the scratch of the frontier chunk the vertex computes in;
+/// the merge after the compute barrier applies it.
 template <VertexProgramT Program>
 class VertexContext {
  public:
@@ -147,25 +145,29 @@ class VertexContext {
 
   /// Emit a message for delivery at the start of the next superstep.
   void send(VertexId target, MessageValue message) {
-    engine_->route(partition_, target, std::move(message), chunk_);
+    engine_->route(target, std::move(message), chunk_);
   }
   void send_to_all_neighbors(const MessageValue& message) {
-    engine_->broadcast(partition_, vertex_, message, chunk_);
+    engine_->broadcast(vertex_, message, chunk_);
   }
 
   /// Stay active next superstep even without incoming messages
   /// (by default a vertex votes to halt when compute returns).
-  void remain_active() { engine_->activate_from(partition_, local_, chunk_); }
+  void remain_active() { scratch().activations.push_back(local_); }
   /// Request activation at an absolute future superstep (used by phase-
   /// structured algorithms such as the BC backward sweep).
   void wake_at(std::uint64_t superstep) {
-    engine_->schedule_wake(partition_, local_, superstep, chunk_);
+    PREGEL_CHECK_MSG(superstep > engine_->superstep_,
+                     "wake_at: superstep must be in the future");
+    scratch().wakes.emplace_back(superstep, local_);
   }
 
   /// Contribute to a sum-aggregate readable by the master at this barrier
-  /// and by all vertices next superstep.
+  /// and by all vertices next superstep. Logged with the vertex's rank and
+  /// replayed at the barrier in serial summation order.
   void aggregate(std::uint64_t key, double value) {
-    engine_->aggregate_from(key, value, chunk_);
+    auto& cs = scratch();
+    cs.aggs.push_back({cs.computing_rank, key, value});
   }
   /// Read a master-broadcast global (or last superstep's aggregate).
   double global(std::uint64_t key, double fallback = 0.0) const {
@@ -180,7 +182,10 @@ class VertexContext {
   }
 
   /// Declare a traversal root complete (root-scheduled algorithms).
-  void mark_root_done(VertexId root) { engine_->root_done_from(root, chunk_); }
+  void mark_root_done(VertexId root) {
+    auto& cs = scratch();
+    cs.roots.push_back({cs.computing_rank, root});
+  }
 
   /// Write-barrier hint for delta checkpoints: this compute left the vertex
   /// value bit-identical (a relaxation that didn't improve the distance, a
@@ -195,6 +200,8 @@ class VertexContext {
                 VertexId vertex, std::size_t chunk)
       : engine_(engine), partition_(partition), local_(local), vertex_(vertex),
         chunk_(chunk) {}
+
+  auto& scratch() const { return engine_->chunk_scratch_[chunk_]; }
 
   Engine<Program>* engine_;
   std::uint32_t partition_;
@@ -653,7 +660,10 @@ class Engine {
   /// compute barrier. Chunks of the same partition never run concurrently
   /// with that partition's merge, so nothing here needs synchronization.
   struct ChunkScratch {
-    std::vector<std::vector<StagedMessage>> out;  ///< by destination partition
+    /// By destination partition. Merges clear rows without shrinking them:
+    /// there are chunks x partitions rows, refilled every superstep, and
+    /// reallocating them each time costs host time and heap fragmentation.
+    std::vector<std::vector<StagedMessage>> out;
     std::vector<StagedAgg> aggs;
     std::vector<StagedRootDone> roots;
     std::vector<std::uint32_t> activations;  ///< locals of this chunk's partition
@@ -671,7 +681,7 @@ class Engine {
 
   /// (Re)build partition state from the run's initial assignment. Also
   /// derives the immutable per-run serial order: rank_of_[v] numbers every
-  /// vertex in the order the serial engine visits it (partition-major,
+  /// vertex in the order an unmigrated superstep visits it (partition-major,
   /// ascending within each partition). Message delivery in the unmigrated
   /// run happens exactly in sender-rank order, which is what lets the
   /// post-migration merge reproduce it bit-for-bit.
@@ -813,19 +823,19 @@ class Engine {
 
     // Host-parallelism: resolve the lane count and the frontier-bag grain.
     // The pool persists across runs when the resolved width is unchanged.
+    // One lane runs every chunk and merge on the calling thread, no pool.
     const std::uint32_t requested =
         opts.parallelism == 0 ? ThreadPool::hardware_threads() : opts.parallelism;
-    threads_ = std::min<std::uint32_t>(std::max<std::uint32_t>(requested, 1),
-                                       static_cast<std::uint32_t>(parts_.size()));
-    if (threads_ > 1) {
-      if (!pool_ || pool_->size() != threads_) pool_ = std::make_unique<ThreadPool>(threads_);
+    const std::uint32_t lanes = std::min<std::uint32_t>(
+        std::max<std::uint32_t>(requested, 1), static_cast<std::uint32_t>(parts_.size()));
+    if (lanes > 1) {
+      if (!pool_ || pool_->size() != lanes) pool_ = std::make_unique<ThreadPool>(lanes);
     } else {
       pool_.reset();
     }
     grain_ = opts.frontier_grain == 0 ? Bag::kDefaultGrain : opts.frontier_grain;
     frontier_bags_.assign(parts_.size(), Bag(grain_));
     chunks_.clear();
-    chunk_scratch_.clear();
     part_chunk_range_.assign(parts_.size(), {0, 0});
     direction_enabled_ =
         direction_capable() && opts.direction.mode != DirectionOptions::Mode::kOff;
@@ -835,15 +845,7 @@ class Engine {
       broadcast_store_.assign(graph_->num_vertices(), {});
     else
       broadcast_store_.clear();
-    // The staged path serves four callers: the thread pool (any run with
-    // threads_ > 1), the post-migration rank merge (even serial runs — once
-    // vertices move, delivery order must be reconstructed by rank), pull
-    // supersteps (the synthesized stream flows through the same merge), and
-    // subgraph-centric programs (every boundary send is staged).
-    if (threads_ > 1 || migration_possible_ || direction_enabled_ || subgraph_model())
-      send_scratch_.assign(parts_.size() * parts_.size(), {});
-    else
-      send_scratch_.clear();
+    send_scratch_.assign(parts_.size() * parts_.size(), {});
 
     faults_ = cloud::FaultInjector(cluster_.faults);
     pending_retry_latency_ = 0.0;
@@ -960,10 +962,10 @@ class Engine {
       ps.outbuf_bytes = 0;
       // Delta-checkpoint dirty tracking: a migration rebuilt the partition
       // under us -> everything is dirty until the forced re-base publishes.
-      // Ordinary dirtying happens after each compute() (see
-      // compute_partition / compute_chunk): the vertex rides the next delta
-      // leg unless its program declared the call a write-free no-op via
-      // ctx.state_unchanged().
+      // Ordinary dirtying happens after each compute (see compute_chunk /
+      // compute_subgraph_partition): the vertex rides the next delta leg
+      // unless its program declared the call a write-free no-op via
+      // ctx.state_unchanged() (subgraph programs: state_unchanged_all).
       if (track_dirty_ && ps.dirty.size() != ps.vertices.size())
         ps.dirty.assign(ps.vertices.size(), 1);
     }
@@ -983,50 +985,26 @@ class Engine {
     return false;
   }
 
-  /// Drain one partition's active vertices through compute() on the serial
-  /// fast path: emissions route immediately (chunk == kNoChunk), nothing is
-  /// staged.
-  void compute_partition(std::uint32_t p) {
-    trace::Span span("engine.compute", "superstep", "part", p);
-    PartitionState& ps = parts_[p];
-    for (std::uint32_t l : ps.active_cur) {
-      VertexContext<Program> ctx(this, p, l, ps.vertices[l], kNoChunk);
-      std::vector<M>& box = ps.inbox_cur[l];
-      if constexpr (has_combiner()) {
-        // Lockstep invariant: with a combiner active, every buffered message
-        // has exactly one source entry (seeds included).
-        if (opts_combine_) PREGEL_DCHECK(ps.inbox_cur_src[l].size() == box.size());
-      }
-      ++ps.load.vertices_computed;
-      ps.load.messages_processed += box.size();
-      program_.compute(ctx, ps.values[l], std::span<const M>(box));
-      if (track_dirty_ && ctx.mutated_) ps.dirty[l] = 1;
-      // Drain: buffered incoming bytes are released after compute.
-      for (const M& m : box) {
-        const Bytes b = cost_.buffered_bytes(payload_bytes(m));
-        ps.inbox_cur_bytes -= std::min(ps.inbox_cur_bytes, b);
-      }
-      // Release large buffers back to the allocator but keep small-vector
-      // capacity cached — reallocating every box every superstep is pure
-      // churn for the common small-frontier case.
-      shrink_after_drain(box);
-      if (opts_combine_) shrink_after_drain(ps.inbox_cur_src[l]);
-    }
-  }
-
-  /// Pack each partition's sorted active list into its frontier bag and
-  /// enumerate the bags' leaves as chunks — partition-major, leaf order —
-  /// so "chunk index order" is exactly serial visit order. Scratch slots are
-  /// reused across supersteps (cleared, not reallocated).
-  void build_frontier_chunks() {
+  /// Enumerate this superstep's chunks partition-major, so "chunk index
+  /// order" is exactly serial visit order, and reset their scratch slots.
+  /// Slots are reused across supersteps and runs (cleared, not reallocated).
+  /// Vertex programs pack each partition's sorted active list into its
+  /// frontier bag and take the bag's leaves as chunks. Subgraph programs get
+  /// one chunk per partition (chunk index == partition index): the partition
+  /// is the indivisible unit of subgraph work.
+  void build_chunks() {
     chunks_.clear();
     const std::size_t n = parts_.size();
     for (std::uint32_t p = 0; p < n; ++p) {
-      Bag& bag = frontier_bags_[p];
-      bag.assign(std::span<const std::uint32_t>(parts_[p].active_cur));
       const std::uint32_t first = static_cast<std::uint32_t>(chunks_.size());
-      for (std::size_t leaf = 0; leaf < bag.num_leaves(); ++leaf)
-        chunks_.push_back(ChunkRef{p, static_cast<std::uint32_t>(leaf)});
+      if constexpr (subgraph_model()) {
+        chunks_.push_back(ChunkRef{p, 0});
+      } else {
+        Bag& bag = frontier_bags_[p];
+        bag.assign(std::span<const std::uint32_t>(parts_[p].active_cur));
+        for (std::size_t leaf = 0; leaf < bag.num_leaves(); ++leaf)
+          chunks_.push_back(ChunkRef{p, static_cast<std::uint32_t>(leaf)});
+      }
       part_chunk_range_[p] = {first, static_cast<std::uint32_t>(chunks_.size())};
     }
     if (chunk_scratch_.size() < chunks_.size()) chunk_scratch_.resize(chunks_.size());
@@ -1093,8 +1071,8 @@ class Engine {
   /// Apply every staged message addressed to partition q (plus q's own
   /// staged activations/wakes). Unmigrated push: scan source partitions in
   /// ascending order and each source's chunk rows in leaf + emission order —
-  /// the exact order serial execution would have delivered them in, so inbox
-  /// contents (and combiner merges) are bit-identical. Source-side counters
+  /// ascending sender rank, whoever ran the chunks, so inbox contents (and
+  /// combiner merges) are bit-identical at any lane count. Source-side counters
   /// go to this destination's scratch row; they cannot be written to the
   /// source partitions here because another merge thread may own them.
   void merge_destination(std::uint32_t q) {
@@ -1117,7 +1095,7 @@ class Engine {
         for (StagedMessage& s : row)
           deliver(src, q, s.target_local, std::move(s.message), acc.load, acc.outbuf_bytes,
                   s.combine_src);
-        shrink_after_drain(row);
+        row.clear();
       }
     }
   }
@@ -1171,8 +1149,7 @@ class Engine {
     }
     for (std::uint32_t src = 0; src < n; ++src) {
       const auto [first, last] = part_chunk_range_[src];
-      for (std::uint32_t c = first; c < last; ++c)
-        shrink_after_drain(chunk_scratch_[c].out[q]);
+      for (std::uint32_t c = first; c < last; ++c) chunk_scratch_[c].out[q].clear();
     }
   }
 
@@ -1205,7 +1182,7 @@ class Engine {
           pending.push_back(
               Pending{s.target_local, s.sender_rank, s.seq, src, s.combine_src,
                       std::move(s.message)});
-        shrink_after_drain(row);
+        row.clear();
       }
     }
     // (target, rank, seq) is unique — one sender emits each seq once — so
@@ -1270,74 +1247,13 @@ class Engine {
   }
 
   /// Run `f(p)` for every partition index — on the pool when one exists,
-  /// serially otherwise. The staged execution path uses this so a
-  /// parallelism-1 run after a migration (or in pull mode) stages through
-  /// the same merge machinery without spinning up threads.
+  /// in index order on the calling thread otherwise.
   template <class F>
   void for_each_partition(F&& f) {
     if (pool_)
       pool_->parallel_for(parts_.size(), std::forward<F>(f));
     else
       for (std::size_t i = 0; i < parts_.size(); ++i) f(i);
-  }
-
-  /// Compute + route for one superstep through the staged path,
-  /// bit-identical to the serial path. Two barriers: (1) every frontier
-  /// chunk computes with all side effects staged in its scratch — on the
-  /// pool, lanes start on their home partitions' chunk queues and steal
-  /// from the heaviest remaining queue when they run dry; (2) every
-  /// destination partition applies its staged messages single-threaded in
-  /// deterministic merge order. Chunk-indexed counters then fold back
-  /// serially in chunk (= serial visit) order, and aggregate / root logs
-  /// replay in serial order. Which lane drained which chunk is thereby
-  /// unobservable outside wall clock and the steal counters.
-  void execute_superstep_staged() {
-    const std::size_t n = parts_.size();
-    build_frontier_chunks();
-    if (pool_ && chunks_.size() > 1) {
-      std::vector<std::vector<std::size_t>> queues(pool_->size());
-      for (std::size_t c = 0; c < chunks_.size(); ++c)
-        queues[chunks_[c].partition % pool_->size()].push_back(c);
-      last_steals_ = pool_->parallel_steal(std::move(queues),
-                                           [this](std::size_t c) { compute_chunk(c); });
-    } else {
-      for (std::size_t c = 0; c < chunks_.size(); ++c) compute_chunk(c);
-    }
-
-    // Fold chunk-local partition counters back in chunk order: integer sums
-    // plus the clamped inbox drain, matching the serial accounting.
-    for (std::uint32_t p = 0; p < n; ++p) {
-      PartitionState& ps = parts_[p];
-      const auto [first, last] = part_chunk_range_[p];
-      for (std::uint32_t c = first; c < last; ++c) {
-        ChunkScratch& cs = chunk_scratch_[c];
-        ps.load.vertices_computed += cs.load.vertices_computed;
-        ps.load.messages_processed += cs.load.messages_processed;
-        ps.inbox_cur_bytes -= std::min(ps.inbox_cur_bytes, cs.drained_bytes);
-        ps.state_bytes += cs.state_delta;
-      }
-    }
-
-    for_each_partition([this](std::size_t q) {
-      merge_destination(static_cast<std::uint32_t>(q));
-    });
-
-    // Fold the per-(destination x source) send counters back into their
-    // source partitions (integer sums — order-free), then replay the
-    // deterministic logs in serial order.
-    for (std::uint32_t p = 0; p < n; ++p) {
-      PartitionState& ps = parts_[p];
-      for (std::uint32_t q = 0; q < n; ++q) {
-        SendScratch& acc = send_scratch_[q * n + p];
-        ps.load.messages_sent_local += acc.load.messages_sent_local;
-        ps.load.messages_sent_remote += acc.load.messages_sent_remote;
-        ps.load.bytes_sent_remote += acc.load.bytes_sent_remote;
-        ps.outbuf_bytes += acc.outbuf_bytes;
-        acc = {};
-      }
-    }
-    replay_staged_logs();
-    if (pull_this_step_) clear_broadcast_records();
   }
 
   /// Drop this superstep's pull-mode broadcast records, releasing large
@@ -1350,28 +1266,7 @@ class Engine {
     }
   }
 
-  // ---- subgraph-centric execution (docs/SUBGRAPH.md) ----------------------
-
-  /// One chunk per partition: chunk index == partition index, so the staged
-  /// merge, the counter folds, and the log replays all see the exact shape
-  /// the vertex-centric staged path produces, with leaf order degenerate.
-  void setup_subgraph_chunks() {
-    const std::size_t n = parts_.size();
-    chunks_.clear();
-    for (std::uint32_t p = 0; p < n; ++p) {
-      part_chunk_range_[p] = {p, p + 1};
-      chunks_.push_back(ChunkRef{p, 0});
-    }
-    if (chunk_scratch_.size() < n) chunk_scratch_.resize(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      ChunkScratch& cs = chunk_scratch_[c];
-      cs.out.resize(n);
-      cs.load = {};
-      cs.drained_bytes = 0;
-      cs.state_delta = 0;
-      cs.emit_seq = 0;
-    }
-  }
+  // ---- subgraph-centric compute (docs/SUBGRAPH.md) ------------------------
 
   /// Hand one whole partition to the program, then establish the canonical
   /// outbox order: every staged row sorted by (sender rank, emission seq).
@@ -1419,45 +1314,6 @@ class Engine {
     std::stable_sort(
         cs.roots.begin(), cs.roots.end(),
         [](const StagedRootDone& a, const StagedRootDone& b) { return a.rank < b.rank; });
-  }
-
-  /// The subgraph-centric superstep: compute every partition (in parallel —
-  /// each stages into its own scratch), then the same fold / merge / replay
-  /// sequence as the vertex-centric staged path. There is no chunk stealing:
-  /// the partition is the indivisible unit of subgraph work.
-  void execute_superstep_subgraph() {
-    const std::size_t n = parts_.size();
-    setup_subgraph_chunks();
-    for_each_partition([this](std::size_t p) {
-      compute_subgraph_partition(static_cast<std::uint32_t>(p));
-    });
-
-    for (std::uint32_t p = 0; p < n; ++p) {
-      PartitionState& ps = parts_[p];
-      ChunkScratch& cs = chunk_scratch_[p];
-      ps.load.vertices_computed += cs.load.vertices_computed;
-      ps.load.messages_processed += cs.load.messages_processed;
-      ps.load.subgraph_ops += cs.load.subgraph_ops;
-      ps.inbox_cur_bytes -= std::min(ps.inbox_cur_bytes, cs.drained_bytes);
-      ps.state_bytes += cs.state_delta;
-    }
-
-    for_each_partition([this](std::size_t q) {
-      merge_destination(static_cast<std::uint32_t>(q));
-    });
-
-    for (std::uint32_t p = 0; p < n; ++p) {
-      PartitionState& ps = parts_[p];
-      for (std::uint32_t q = 0; q < n; ++q) {
-        SendScratch& acc = send_scratch_[q * n + p];
-        ps.load.messages_sent_local += acc.load.messages_sent_local;
-        ps.load.messages_sent_remote += acc.load.messages_sent_remote;
-        ps.load.bytes_sent_remote += acc.load.bytes_sent_remote;
-        ps.outbuf_bytes += acc.outbuf_bytes;
-        acc = {};
-      }
-    }
-    replay_staged_logs();
   }
 
   /// K-way merge of per-chunk logs by emitter rank across source
@@ -1604,6 +1460,15 @@ class Engine {
     pull_index_built_ = true;
   }
 
+  /// One superstep: compute, then route. Two barriers: (1) every chunk
+  /// computes with all side effects staged in its scratch — on the pool,
+  /// lanes start on their home partitions' chunk queues and steal from the
+  /// heaviest remaining queue when they run dry; (2) every destination
+  /// partition applies its staged messages single-threaded in deterministic
+  /// merge order. Chunk-indexed counters then fold back serially in chunk
+  /// (= serial visit) order, and aggregate / root logs replay in serial
+  /// order. Which lane drained which chunk is thereby unobservable outside
+  /// wall clock and the steal counters.
   SuperstepMetrics execute_superstep() {
     trace::Span span("engine.superstep", "superstep", "superstep", superstep_);
     agg_cur_.clear();
@@ -1614,13 +1479,58 @@ class Engine {
       if (pull_this_step_ && !pull_index_built_) build_pull_index();
     }
 
-    if constexpr (subgraph_model()) {
-      execute_superstep_subgraph();
-    } else if (threads_ > 1 || migrated_ || pull_this_step_) {
-      execute_superstep_staged();
+    const std::size_t n = parts_.size();
+    build_chunks();
+    const auto compute = [this](std::size_t c) {
+      if constexpr (subgraph_model())
+        compute_subgraph_partition(chunks_[c].partition);
+      else
+        compute_chunk(c);
+    };
+    if (pool_ && chunks_.size() > 1) {
+      std::vector<std::vector<std::size_t>> queues(pool_->size());
+      for (std::size_t c = 0; c < chunks_.size(); ++c)
+        queues[chunks_[c].partition % pool_->size()].push_back(c);
+      last_steals_ = pool_->parallel_steal(std::move(queues), compute);
     } else {
-      for (std::uint32_t p = 0; p < parts_.size(); ++p) compute_partition(p);
+      for (std::size_t c = 0; c < chunks_.size(); ++c) compute(c);
     }
+
+    // Fold chunk-local partition counters back in chunk order: integer sums
+    // plus the clamped inbox drain.
+    for (std::uint32_t p = 0; p < n; ++p) {
+      PartitionState& ps = parts_[p];
+      const auto [first, last] = part_chunk_range_[p];
+      for (std::uint32_t c = first; c < last; ++c) {
+        ChunkScratch& cs = chunk_scratch_[c];
+        ps.load.vertices_computed += cs.load.vertices_computed;
+        ps.load.messages_processed += cs.load.messages_processed;
+        ps.load.subgraph_ops += cs.load.subgraph_ops;
+        ps.inbox_cur_bytes -= std::min(ps.inbox_cur_bytes, cs.drained_bytes);
+        ps.state_bytes += cs.state_delta;
+      }
+    }
+
+    for_each_partition([this](std::size_t q) {
+      merge_destination(static_cast<std::uint32_t>(q));
+    });
+
+    // Fold the per-(destination x source) send counters back into their
+    // source partitions (integer sums — order-free), then replay the
+    // deterministic logs in serial order.
+    for (std::uint32_t p = 0; p < n; ++p) {
+      PartitionState& ps = parts_[p];
+      for (std::uint32_t q = 0; q < n; ++q) {
+        SendScratch& acc = send_scratch_[q * n + p];
+        ps.load.messages_sent_local += acc.load.messages_sent_local;
+        ps.load.messages_sent_remote += acc.load.messages_sent_remote;
+        ps.load.bytes_sent_remote += acc.load.bytes_sent_remote;
+        ps.outbuf_bytes += acc.outbuf_bytes;
+        acc = {};
+      }
+    }
+    replay_staged_logs();
+    if (pull_this_step_) clear_broadcast_records();
 
     std::uint64_t active_total = 0;
     for (const PartitionState& ps : parts_) active_total += ps.active_cur.size();
@@ -3389,48 +3299,37 @@ class Engine {
 
   // ---- context callbacks ---------------------------------------------------
 
-  void route(std::uint32_t from_partition, VertexId target, M message,
-             std::size_t chunk) {
+  /// Capture an emission in the computing chunk's scratch row for the
+  /// destination partition; the deterministic merge delivers it after the
+  /// compute barrier. No shared state is touched here.
+  void route(VertexId target, M message, std::size_t chunk) {
     PREGEL_DCHECK(target < graph_->num_vertices());
-    const std::uint32_t tp = part_of_[target];
-    const std::uint32_t tl = local_of_[target];
-    if (chunk != kNoChunk) {
-      // Staged compute phase: capture the emission in this chunk's scratch
-      // row for the destination; the deterministic merge delivers it after
-      // the compute barrier. No shared state is touched here.
-      ChunkScratch& cs = chunk_scratch_[chunk];
-      cs.out[tp].push_back(StagedMessage{tl, cs.computing_rank, cs.computing_src,
-                                         cs.emit_seq++, std::move(message)});
-      return;
-    }
-    PartitionState& src = parts_[from_partition];
-    deliver(from_partition, tp, tl, std::move(message), src.load, src.outbuf_bytes,
-            static_cast<std::uint8_t>(vm_of(from_partition)));
+    ChunkScratch& cs = chunk_scratch_[chunk];
+    cs.out[part_of_[target]].push_back(StagedMessage{
+        local_of_[target], cs.computing_rank, cs.computing_src, cs.emit_seq++,
+        std::move(message)});
   }
 
   /// send_to_all_neighbors: in pull mode capture one broadcast record
   /// instead of materializing a staged message per out-edge; the merge
   /// synthesizes the per-edge stream on the destination side. Otherwise
-  /// expand to per-edge routes exactly as the classic push path.
-  void broadcast(std::uint32_t from_partition, VertexId v, const M& message,
-                 std::size_t chunk) {
-    if (chunk != kNoChunk && pull_this_step_) {
+  /// expand to per-edge routes.
+  void broadcast(VertexId v, const M& message, std::size_t chunk) {
+    if (pull_this_step_) {
       ChunkScratch& cs = chunk_scratch_[chunk];
       auto& recs = broadcast_store_[v];
       if (recs.empty()) cs.broadcasters.push_back(v);
       recs.emplace_back(cs.emit_seq++, message);
       return;
     }
-    for (VertexId u : graph_->out_neighbors(v))
-      route(from_partition, u, M(message), chunk);
+    for (VertexId u : graph_->out_neighbors(v)) route(u, M(message), chunk);
   }
 
-  /// Deliver one emitted message into partition `tp`'s next inbox: combiner
-  /// merge, send/receive accounting, activation. The serial path (route) and
-  /// the parallel merge (merge_destination) share this verbatim so their
-  /// per-message effects are identical; source-side counters go through the
-  /// `src_load`/`src_outbuf` out-params because the merge cannot write the
-  /// source partition directly. `combine_src` is the sender-side combining
+  /// Deliver one staged message into partition `tp`'s next inbox: combiner
+  /// merge, send/receive accounting, activation. Only the destination
+  /// merges call this. Source-side counters go through the
+  /// `src_load`/`src_outbuf` out-params because a merge task cannot write
+  /// the source partition directly. `combine_src` is the sender-side combining
   /// domain: the VM the sender's *home* partition is placed on, captured at
   /// emission time so a migrated sender keeps combining into the same bucket
   /// it would have unmigrated (bit-identity of combined message streams).
@@ -3487,60 +3386,14 @@ class Engine {
     }
   }
 
-  /// remain_active: staged per chunk (the destination partition's merge task
-  /// applies them — activation is set-semantics, so order is irrelevant);
-  /// direct on the serial path.
-  void activate_from(std::uint32_t partition, std::uint32_t local, std::size_t chunk) {
-    if (chunk != kNoChunk)
-      chunk_scratch_[chunk].activations.push_back(local);
-    else
-      activate_local(partition, local);
-  }
-
-  void schedule_wake(std::uint32_t partition, std::uint32_t local, std::uint64_t at,
-                     std::size_t chunk) {
-    PREGEL_CHECK_MSG(at > superstep_, "wake_at: superstep must be in the future");
-    if (chunk != kNoChunk)
-      chunk_scratch_[chunk].wakes.emplace_back(at, local);
-    else
-      parts_[partition].wakes[at].push_back(local);
-  }
-
+  /// Account a compute's state growth/shrink: the partition total is staged
+  /// per chunk; per-vertex slots are disjoint across chunks (a vertex
+  /// computes in exactly one chunk), so they are written directly.
   void charge_state(std::uint32_t partition, std::uint32_t local, std::int64_t delta,
                     std::size_t chunk) {
-    PartitionState& ps = parts_[partition];
-    if (chunk != kNoChunk)
-      chunk_scratch_[chunk].state_delta += delta;
-    else
-      ps.state_bytes += delta;
-    // Per-vertex slots are disjoint across chunks (a vertex computes in
-    // exactly one leaf), so they are written directly either way.
-    if (!ps.state_bytes_v.empty()) ps.state_bytes_v[local] += delta;
-  }
-
-  /// Vertex-context aggregate contribution. During staged compute the
-  /// contribution is logged in the chunk's scratch (tagged with the emitting
-  /// vertex's rank) and replayed at the barrier in the exact serial
-  /// summation order — chunk order unmigrated, rank-merge order after a
-  /// migration; serially it sums immediately.
-  void aggregate_from(std::uint64_t key, double value, std::size_t chunk) {
-    if (chunk != kNoChunk) {
-      ChunkScratch& cs = chunk_scratch_[chunk];
-      cs.aggs.push_back({cs.computing_rank, key, value});
-    } else {
-      agg_cur_.add(key, value);
-    }
-  }
-
-  /// Vertex-context root completion, staged like aggregate_from so compute
-  /// lanes never touch the shared root bookkeeping.
-  void root_done_from(VertexId root, std::size_t chunk) {
-    if (chunk != kNoChunk) {
-      ChunkScratch& cs = chunk_scratch_[chunk];
-      cs.roots.push_back({cs.computing_rank, root});
-    } else {
-      mark_root_done(root);
-    }
+    chunk_scratch_[chunk].state_delta += delta;
+    std::vector<std::int64_t>& per_vertex = parts_[partition].state_bytes_v;
+    if (!per_vertex.empty()) per_vertex[local] += delta;
   }
 
   /// O(1) amortized root completion: tombstone the entry, drop its index
@@ -3725,11 +3578,10 @@ class Engine {
   double virtual_now_us_ = 0.0;
 
   // -- host parallelism (wall-clock only; no effect on results or model) ----
-  std::unique_ptr<ThreadPool> pool_;
-  std::uint32_t threads_ = 1;  ///< resolved execution lanes for this run
+  std::unique_ptr<ThreadPool> pool_;  ///< null at one lane
   std::uint32_t grain_ = Bag::kDefaultGrain;  ///< frontier-bag leaf size
-  /// One bag per partition, repacked from active_cur each staged superstep;
-  /// its leaves are the stealable chunks.
+  /// One bag per partition, repacked from active_cur each superstep; its
+  /// leaves are the stealable chunks.
   std::vector<Bag> frontier_bags_;
   std::vector<ChunkRef> chunks_;  ///< partition-major; index = serial order
   /// [first, last) chunk indices of each partition's leaves.

@@ -1,6 +1,6 @@
 // Capacity policy for per-vertex buffers that are filled and drained every
-// superstep (inbox message vectors, their combiner source-tag mirrors, and
-// staged outbox rows).
+// superstep (inbox message vectors and their combiner source-tag mirrors).
+// Staged outbox rows are not per-vertex: the engine keeps their capacity.
 //
 // One threshold, applied identically to every such buffer: after a drain,
 // capacity above kDrainShrinkElements is released to the allocator, anything
