@@ -1487,13 +1487,16 @@ class Engine {
       else
         compute_chunk(c);
     };
-    if (pool_ && chunks_.size() > 1) {
-      std::vector<std::vector<std::size_t>> queues(pool_->size());
-      for (std::size_t c = 0; c < chunks_.size(); ++c)
-        queues[chunks_[c].partition % pool_->size()].push_back(c);
-      last_steals_ = pool_->parallel_steal(std::move(queues), compute);
-    } else {
-      for (std::size_t c = 0; c < chunks_.size(); ++c) compute(c);
+    {
+      trace::Span compute_span("engine.compute", "superstep", "superstep", superstep_);
+      if (pool_ && chunks_.size() > 1) {
+        std::vector<std::vector<std::size_t>> queues(pool_->size());
+        for (std::size_t c = 0; c < chunks_.size(); ++c)
+          queues[chunks_[c].partition % pool_->size()].push_back(c);
+        last_steals_ = pool_->parallel_steal(std::move(queues), compute);
+      } else {
+        for (std::size_t c = 0; c < chunks_.size(); ++c) compute(c);
+      }
     }
 
     // Fold chunk-local partition counters back in chunk order: integer sums
