@@ -4,10 +4,11 @@
 // against another, a faulted run against a clean one — so a change that
 // moves both sides of a comparison at once slips through. The table below
 // pins, per cell of the matrix
-//   {PageRank, PageRank+combiner, SSSP, Components, swath BC, APSP}
+//   {PageRank, PageRank+combiner, SSSP, Components, swath BC, APSP,
+//    subgraph SSSP, subgraph Components, subgraph Gauss-Seidel PageRank}
 //     x {hash, metis-like} x {fault-free, faulted}
-// plus the three subgraph-centric programs (fault-free, metis-like), three
-// CRC-32C digests:
+// plus subgraph Jacobi PageRank and Components on the small-world graph
+// (fault-free, metis-like), three CRC-32C digests:
 //   values   — the final vertex values, field by field;
 //   metrics  — the per-superstep and per-worker metric record;
 //   counters — the job-level JobResult counters.
@@ -87,6 +88,17 @@ constexpr GoldenRow kGolden[] = {
     {"subgraph-sssp/metis/fault-free", 0x04C731B7u, 0xEA99F8AAu, 0xE23EE38Cu},
     {"subgraph-components/metis/fault-free", 0x5B2CE511u, 0xA1195521u, 0x7D8B3F85u},
     {"subgraph-pagerank/metis/fault-free", 0xADADD99Cu, 0x18FD2BB2u, 0x79AB7F99u},
+    {"subgraph-sssp/hash/fault-free", 0x04C731B7u, 0xDD15E5DEu, 0xD936186Bu},
+    {"subgraph-sssp/hash/faulted", 0x04C731B7u, 0xA8ED0BC8u, 0x91BE3C46u},
+    {"subgraph-sssp/metis/faulted", 0x04C731B7u, 0x64445C20u, 0xB0E24094u},
+    {"subgraph-components-strip/hash/fault-free", 0x5B2CE511u, 0x21BA6583u, 0x93325158u},
+    {"subgraph-components-strip/hash/faulted", 0x5B2CE511u, 0xB20EFC3Du, 0xF2031204u},
+    {"subgraph-components-strip/metis/fault-free", 0x5B2CE511u, 0xE38890D4u, 0x1079C81Au},
+    {"subgraph-components-strip/metis/faulted", 0x5B2CE511u, 0x0A91337Eu, 0x453583C9u},
+    {"subgraph-pagerank-gs/hash/fault-free", 0x7FD92065u, 0x56ECCDA4u, 0xE4B3313Du},
+    {"subgraph-pagerank-gs/hash/faulted", 0x15A0A91Fu, 0x5A2D5D3Cu, 0x8D980214u},
+    {"subgraph-pagerank-gs/metis/fault-free", 0xA493AFAAu, 0x9E659117u, 0x1CC4CE6Fu},
+    {"subgraph-pagerank-gs/metis/faulted", 0x6A511579u, 0xC41DD9FBu, 0x21F3D01Cu},
 };
 // clang-format on
 
@@ -376,17 +388,26 @@ TEST(GoldenDigest, Apsp) {
 
 TEST(GoldenDigest, SubgraphPrograms) {
   const Graph g = watts_strogatz(400, 6, 0.2, 9);
-  const Partitioning parts = partition(g, Parts::kMetis);
-  const ClusterConfig c = base_cluster();
   JobOptions rooted_at_0;
   rooted_at_0.roots = {0};
-  check_cell("subgraph-sssp/metis/fault-free", g, parts, subgraph::SsspSubgraphProgram{}, c,
-             rooted_at_0, false);
-  check_cell("subgraph-components/metis/fault-free", g, parts,
-             subgraph::ComponentsSubgraphProgram{}, c, all_active(), false);
+  check_program("subgraph-sssp", g, subgraph::SsspSubgraphProgram{}, rooted_at_0);
+  check_cell("subgraph-components/metis/fault-free", g, partition(g, Parts::kMetis),
+             subgraph::ComponentsSubgraphProgram{}, base_cluster(), all_active(), false);
+  // Metis-like cuts the small-world graph so well that components converge
+  // before the scheduled failure; a long strip keeps the labels travelling.
+  check_program("subgraph-components-strip", grid_graph(8, 50),
+                subgraph::ComponentsSubgraphProgram{}, all_active());
   subgraph::PageRankSubgraphProgram pr;
   pr.iterations = 20;
-  check_cell("subgraph-pagerank/metis/fault-free", g, parts, pr, c, all_active(), false);
+  check_cell("subgraph-pagerank/metis/fault-free", g, partition(g, Parts::kMetis), pr,
+             base_cluster(), all_active(), false);
+  // Gauss-Seidel with a finite tolerance: a converged partition is woken
+  // again only at the locals a boundary delta reaches, yet its sweeps
+  // rewrite every local's rank.
+  subgraph::PageRankSubgraphProgram gs;
+  gs.mode = subgraph::PageRankSubgraphProgram::Mode::kGaussSeidel;
+  gs.tolerance = 1e-5;
+  check_program("subgraph-pagerank-gs", g, gs, all_active());
 }
 
 }  // namespace
