@@ -338,7 +338,7 @@ class SubgraphContext {
 
   /// Opt in to precise dirty tracking for this call: only locals passed to
   /// mark_changed() afterwards enter the next delta leg. Without this call
-  /// every active local is conservatively marked dirty.
+  /// every local of the partition is conservatively marked dirty.
   void state_unchanged_all() noexcept { unchanged_all_ = true; }
   void mark_changed(std::uint32_t local) { changed_.push_back(local); }
 
@@ -1289,8 +1289,10 @@ class Engine {
       if (ctx.unchanged_all_) {
         for (const std::uint32_t l : ctx.changed_) ps.dirty[l] = 1;
       } else {
-        // Conservative default, mirroring the vertex path's mutated_ = true.
-        for (const std::uint32_t l : ps.active_cur) ps.dirty[l] = 1;
+        // Conservative default: compute_subgraph may write any local through
+        // ctx.value(l), not only the frontier's (Gauss-Seidel sweeps rewrite
+        // every rank when a boundary delta wakes a few locals).
+        std::fill(ps.dirty.begin(), ps.dirty.end(), 1);
       }
     }
 

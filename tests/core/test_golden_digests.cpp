@@ -96,9 +96,9 @@ constexpr GoldenRow kGolden[] = {
     {"subgraph-components-strip/metis/fault-free", 0x5B2CE511u, 0xE38890D4u, 0x1079C81Au},
     {"subgraph-components-strip/metis/faulted", 0x5B2CE511u, 0x0A91337Eu, 0x453583C9u},
     {"subgraph-pagerank-gs/hash/fault-free", 0x7FD92065u, 0x56ECCDA4u, 0xE4B3313Du},
-    {"subgraph-pagerank-gs/hash/faulted", 0x15A0A91Fu, 0x5A2D5D3Cu, 0x8D980214u},
+    {"subgraph-pagerank-gs/hash/faulted", 0x15A0A91Fu, 0x5A2D5D3Cu, 0xE1E4F12Cu},
     {"subgraph-pagerank-gs/metis/fault-free", 0xA493AFAAu, 0x9E659117u, 0x1CC4CE6Fu},
-    {"subgraph-pagerank-gs/metis/faulted", 0x6A511579u, 0xC41DD9FBu, 0x21F3D01Cu},
+    {"subgraph-pagerank-gs/metis/faulted", 0x6A511579u, 0xC41DD9FBu, 0x5BB8AD70u},
 };
 // clang-format on
 

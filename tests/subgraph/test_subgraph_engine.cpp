@@ -5,6 +5,7 @@
 // apply unchanged, and none of them may alter results.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -81,6 +82,48 @@ TEST(SubgraphEngine, CheckpointRecoveryBitIdenticalPageRank) {
   EXPECT_EQ(r.metrics.worker_failures, 2u);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(r.values[v].rank, clean.values[v].rank) << "vertex " << v;
+}
+
+// Gauss-Seidel sweeps rewrite every local's rank even when a boundary delta
+// woke only a few locals, and the program never narrows its write set with
+// state_unchanged_all(). Delta checkpoints must therefore treat the whole
+// partition as dirty, or a rollback through a delta leg restores stale
+// ranks for the locals the frontier missed.
+TEST(SubgraphEngine, DeltaRecoveryBitIdenticalGaussSeidelPageRank) {
+  const Graph g = watts_strogatz(400, 6, 0.2, 9);
+  const ClusterConfig clean_cfg = eight_partitions_four_vms();
+  const auto parts = HashPartitioner{}.partition(g, clean_cfg.num_partitions);
+  PageRankSubgraphProgram gs;
+  gs.mode = PageRankSubgraphProgram::Mode::kGaussSeidel;
+  gs.tolerance = 1e-7;
+  JobOptions o;
+  o.start_all_vertices = true;
+  const auto clean = Engine<PageRankSubgraphProgram>(g, gs, clean_cfg, parts).run(o);
+  ASSERT_FALSE(clean.failed);
+  // The failure lands after several partly active supersteps, so the
+  // restore set's delta legs were written while only part of each woken
+  // partition was on the frontier.
+  constexpr std::uint64_t kFailAt = 45;
+  ASSERT_GT(clean.metrics.supersteps.size(), kFailAt);
+  for (std::uint64_t s = kFailAt - 8; s <= kFailAt; ++s) {
+    const std::uint64_t active = clean.metrics.supersteps[s].active_vertices;
+    ASSERT_GT(active, 0u) << "superstep " << s;
+    ASSERT_LT(active, g.num_vertices()) << "superstep " << s;
+  }
+
+  ClusterConfig faulty = clean_cfg;
+  faulty.checkpoint_interval = 2;
+  faulty.ckpt.delta_enabled = true;
+  faulty.scheduled_failures = {{kFailAt, 1}};
+  const auto r = Engine<PageRankSubgraphProgram>(g, gs, faulty, parts).run(o);
+  ASSERT_FALSE(r.failed);
+  EXPECT_EQ(r.metrics.worker_failures, 1u);
+  EXPECT_GT(r.metrics.checkpoint_deltas, 0u);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(r.values[v].rank, clean.values[v].rank) << "vertex " << v;
+    ASSERT_EQ(r.values[v].remote_sum, clean.values[v].remote_sum) << "vertex " << v;
+    ASSERT_EQ(r.values[v].last_share, clean.values[v].last_share) << "vertex " << v;
+  }
 }
 
 ClusterConfig with_forced_migration(ClusterConfig c,
