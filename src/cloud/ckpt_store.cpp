@@ -69,7 +69,7 @@ void CkptStore::reset() {
   deltas_since_base_ = 0;
 }
 
-void CkptStore::seed_initial(std::shared_ptr<void> payload) {
+void CkptStore::seed_initial(std::shared_ptr<CkptPayload> payload) {
   if (!chain_.empty() && chain_.front().seq == 0) return;
   CkptGeneration gen;
   gen.seq = 0;
@@ -170,7 +170,7 @@ CkptWriteOutcome CkptStore::write_generation(
   return out;
 }
 
-void CkptStore::attach_payload(std::shared_ptr<void> payload) {
+void CkptStore::attach_payload(std::shared_ptr<CkptPayload> payload) {
   if (!chain_.empty()) chain_.back().payload = std::move(payload);
 }
 
@@ -213,6 +213,18 @@ std::vector<std::size_t> CkptStore::restore_set(std::size_t i) const {
   }
   std::reverse(members.begin(), members.end());
   return members;
+}
+
+CkptRestoreSet CkptStore::restore_payloads(const std::vector<std::size_t>& members) const {
+  CkptRestoreSet set;
+  set.reserve(members.size());
+  for (const std::size_t mi : members) set.push_back(chain_[mi].payload);
+  return set;
+}
+
+CkptRestoreSet CkptStore::newest_restore_set() const {
+  if (chain_.empty()) return {};
+  return restore_payloads(restore_set(chain_.size() - 1));
 }
 
 std::optional<CkptRestorePlan> CkptStore::plan_restore(
@@ -267,7 +279,7 @@ std::optional<CkptRestorePlan> CkptStore::plan_restore(
     plan.fallback_depth = static_cast<std::uint32_t>(chain_.size() - 1 - c);
     plan.replica_reads = replica_reads;
     plan.initial = chosen.seq == 0;
-    plan.payload = chosen.payload;
+    plan.payloads = restore_payloads(members);
     for (const std::size_t mi : members)
       for (const CkptLeg& leg : chain_[mi].legs)
         plan.partition_bytes[leg.partition] += leg.bytes;

@@ -10,16 +10,16 @@
 //  * A *generation* per checkpoint round: one CRC32C-verified data leg per
 //    partition, plus a chain-hashed manifest naming the legs. A full *base*
 //    generation carries whole-partition state; a *delta* generation carries
-//    only state dirtied since the previous generation (sized from modeled
-//    per-partition activity), so steady-state checkpoint bytes track the
-//    frontier, not the graph.
+//    only the vertices dirtied since the previous published generation, so
+//    steady-state checkpoint bytes track the frontier, not the graph.
 //  * *Two-phase atomic publish*: data legs first, manifest last. A
 //    preemption or torn write during the legs leaves the previous manifest
 //    in force; a torn manifest write loses the round, never half of it. No
 //    reader can observe a generation whose manifest has not landed.
 //  * *Multi-generation fallback restore*: the restore walk starts at the
 //    newest published generation and verifies every blob its restore set
-//    needs (its base and all intermediate deltas). Torn legs
+//    needs (its base and all intermediate deltas). Restoring means loading
+//    the base and replaying each delta in order. Torn legs
 //    (FaultKind::kCkptTornWrite), at-rest rot (FaultPlan::ckpt_rot_rate on
 //    the kBlobCorrupt seed), and corrupt manifests fail verification; the
 //    walk falls back to the next older generation — reading cross-zone
@@ -36,12 +36,15 @@
 //    vertex-location-table change (migration, scaling) forces a re-base
 //    because per-partition delta domains no longer align with stored legs.
 //
-// Like the rest of the cloud substrate, everything here is *modeled*: the
-// store tracks blob metadata and deterministic fault state while the actual
-// recoverable state rides along as an opaque payload owned by the engine.
-// All costs are surfaced to the caller in bytes and op counts to be charged
-// in modeled time; with all fault rates zero and delta mode at its default,
-// a run's values stay bit-identical at any parallelism.
+// Blob transfers, faults and costs are *modeled*: the store tracks blob
+// metadata and deterministic fault state, and surfaces every cost to the
+// caller in bytes and op counts to be charged in modeled time. The legs'
+// content is real: each generation holds a CkptPayload with the engine
+// state its legs describe (every vertex for a base, the dirty vertices for
+// a delta), and a restore hands back the restore set's payloads, base
+// first, for the engine to replay. With all fault rates zero and delta
+// mode at its default, a run's values stay bit-identical at any
+// parallelism.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +92,16 @@ struct CkptOptions {
   void validate() const;
 };
 
+/// The recoverable state one generation holds. The store owns payloads and
+/// hands them back in restore order, but never looks inside; the engine
+/// derives its snapshot type from this.
+struct CkptPayload {
+  virtual ~CkptPayload() = default;
+};
+
+/// A restore set's payloads, oldest (the base) first.
+using CkptRestoreSet = std::vector<std::shared_ptr<const CkptPayload>>;
+
 /// One partition's data blob within a generation.
 struct CkptLeg {
   std::uint32_t partition = 0;
@@ -104,8 +117,7 @@ struct CkptLeg {
   std::uint32_t replica_repairs = 0;  ///< scrub repairs of the replica copy
 };
 
-/// One published generation: metadata + the opaque engine snapshot that
-/// restores it. `seq` is the publish serial (monotonic, never reused even
+/// One published generation: metadata + the engine state its legs hold. `seq` is the publish serial (monotonic, never reused even
 /// across rollback truncation) and the rot-draw key.
 struct CkptGeneration {
   std::uint64_t seq = 0;
@@ -119,7 +131,7 @@ struct CkptGeneration {
   bool manifest_rotted = false;  ///< manifest rot detected (fails the chain)
   std::uint32_t manifest_repairs = 0;
   std::vector<CkptLeg> legs;
-  std::shared_ptr<void> payload;  ///< engine Snapshot (opaque to the store)
+  std::shared_ptr<CkptPayload> payload;
 
   Bytes total_bytes() const noexcept;
   /// CRC32C-trailed manifest text (same idiom as ManagerManifest): the
@@ -140,8 +152,9 @@ struct CkptWriteOutcome {
 
 /// The restore the walk settled on. `partition_bytes[p]` is the total
 /// restore-set bytes partition p's current owner must download (base leg +
-/// every intermediate delta leg). `initial` means the walk fell all the way
-/// to generation 0 — the free input-graph restart with no legs to read.
+/// every intermediate delta leg), and `payloads` is the same restore set's
+/// content in replay order. `initial` means the walk fell all the way to
+/// generation 0 — the free input-graph restart with no legs to read.
 struct CkptRestorePlan {
   std::uint64_t seq = 0;
   std::uint64_t resume_superstep = 0;
@@ -151,7 +164,7 @@ struct CkptRestorePlan {
   std::uint32_t replica_reads = 0;    ///< legs readable only via the replica
   bool initial = false;
   std::vector<Bytes> partition_bytes;
-  std::shared_ptr<void> payload;
+  CkptRestoreSet payloads;
 };
 
 /// One scrub pass's findings, for the caller to price and count.
@@ -176,7 +189,7 @@ class CkptStore {
   /// Install generation 0: the implicit superstep-0 base backed by the
   /// input graph in blob storage. Free, incorruptible, never GC'd. No-op if
   /// a generation 0 already exists.
-  void seed_initial(std::shared_ptr<void> payload);
+  void seed_initial(std::shared_ptr<CkptPayload> payload);
 
   bool has_checkpoint() const noexcept { return !chain_.empty(); }
   /// Publish serial of the newest visible generation (0 = only gen 0).
@@ -186,12 +199,15 @@ class CkptStore {
   /// Payload of the newest visible generation (nullptr when empty). The
   /// non-const overload lets the governor's shed rung update the parked
   /// root list inside the snapshot it just restored.
-  const void* newest_payload() const noexcept {
+  const CkptPayload* newest_payload() const noexcept {
     return chain_.empty() ? nullptr : chain_.back().payload.get();
   }
-  void* newest_payload() noexcept {
+  CkptPayload* newest_payload() noexcept {
     return chain_.empty() ? nullptr : chain_.back().payload.get();
   }
+  /// The newest visible generation's restore set, base first (empty when
+  /// the store is empty) — what the governor's rewinds replay.
+  CkptRestoreSet newest_restore_set() const;
   /// Resume superstep of the newest visible generation (0 when empty).
   std::uint64_t newest_resume_superstep() const noexcept {
     return chain_.empty() ? 0 : chain_.back().resume_superstep;
@@ -217,8 +233,8 @@ class CkptStore {
                                     const std::vector<std::uint32_t>& home_zone,
                                     std::uint32_t zones, FaultInjector& faults);
 
-  /// Attach the engine snapshot to the generation just published.
-  void attach_payload(std::shared_ptr<void> payload);
+  /// Attach the engine state to the generation just published.
+  void attach_payload(std::shared_ptr<CkptPayload> payload);
 
   /// Mark the newest generation's cross-zone replica round complete (or
   /// abandoned), drawing replica torn-write faults per leg. Returns false
@@ -262,6 +278,7 @@ class CkptStore {
   /// Indices into chain_ of the restore set of chain_[i]: its base through
   /// itself, oldest first ({i} itself when chain_[i] is a base or gen 0).
   std::vector<std::size_t> restore_set(std::size_t i) const;
+  CkptRestoreSet restore_payloads(const std::vector<std::size_t>& members) const;
 
   CkptOptions opts_;
   std::uint32_t partitions_ = 0;

@@ -79,12 +79,16 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -187,11 +191,13 @@ class VertexContext {
     cs.roots.push_back({cs.computing_rank, root});
   }
 
-  /// Write-barrier hint for delta checkpoints: this compute left the vertex
+  /// Write-barrier claim for delta checkpoints: this compute left the vertex
   /// value bit-identical (a relaxation that didn't improve the distance, a
   /// converged PageRank update below tolerance), so the next delta leg need
-  /// not carry it. Purely a sizing hint — a program that never calls it gets
-  /// every computed vertex in the delta, the conservative default.
+  /// not carry it. Delta legs hold real content, so a false claim restores a
+  /// stale value; Debug builds audit the claim bytewise for trivially
+  /// copyable values. A program that never calls it gets every computed
+  /// vertex in the delta, the conservative default.
   void state_unchanged() noexcept { mutated_ = false; }
 
  private:
@@ -603,9 +609,8 @@ class Engine {
     /// declared write-free via ctx.state_unchanged()). Cleared on
     /// successful publish only, so a torn-manifest round leaves the next
     /// delta relative to the last generation a restore could actually
-    /// read. Travels inside snapshots: a rollback replays with exactly the
-    /// dirty sets the original execution had, so re-published generations
-    /// are bit-identical.
+    /// read. A restore clears it too: the restored state *is* that
+    /// generation, so the replay re-dirties and re-publishes identically.
     std::vector<std::uint8_t> dirty;
     Bytes graph_bytes = 0;
     Bytes outbuf_bytes = 0;  ///< serialized remote sends buffered this superstep
@@ -1018,6 +1023,19 @@ class Engine {
     }
   }
 
+  /// The raw bytes of a trivially copyable vertex value (an empty array
+  /// otherwise). Debug builds compare them across a compute that claimed to
+  /// be write-free, because the claim keeps the vertex out of delta legs.
+  static auto value_bytes(const V& v) {
+    if constexpr (std::is_trivially_copyable_v<V>) {
+      std::array<std::byte, sizeof(V)> bytes;
+      std::memcpy(bytes.data(), &v, sizeof(V));
+      return bytes;
+    } else {
+      return std::array<std::byte, 0>{};
+    }
+  }
+
   /// Drain one frontier chunk through compute(), staging every side effect
   /// in the chunk's scratch. Chunks touch only their own scratch, their own
   /// vertices' inboxes/values (disjoint: a vertex is in exactly one leaf),
@@ -1041,7 +1059,11 @@ class Engine {
       }
       ++cs.load.vertices_computed;
       cs.load.messages_processed += box.size();
+#ifndef NDEBUG
+      const auto before = value_bytes(ps.values[l]);
+#endif
       program_.compute(ctx, ps.values[l], std::span<const M>(box));
+      PREGEL_DCHECK(ctx.mutated_ || value_bytes(ps.values[l]) == before);
       // Safe unstaged: dirty is per-vertex and a vertex lives in exactly
       // one chunk, so concurrent chunks write disjoint bytes.
       if (track_dirty_ && ctx.mutated_) ps.dirty[l] = 1;
@@ -1283,7 +1305,19 @@ class Engine {
       cs.load.messages_processed += ps.inbox_cur[l].size();
 
     SubgraphContext<Program> ctx(this, p);
+#ifndef NDEBUG
+    std::vector<decltype(value_bytes(ps.values[0]))> before;
+    for (const V& v : ps.values) before.push_back(value_bytes(v));
+#endif
     program_.compute_subgraph(ctx);
+#ifndef NDEBUG
+    if (ctx.unchanged_all_) {
+      std::vector<bool> claimed(ps.values.size(), true);
+      for (const std::uint32_t l : ctx.changed_) claimed[l] = false;
+      for (std::uint32_t l = 0; l < ps.values.size(); ++l)
+        PREGEL_DCHECK(!claimed[l] || value_bytes(ps.values[l]) == before[l]);
+    }
+#endif
 
     if (track_dirty_) {
       if (ctx.unchanged_all_) {
@@ -2087,12 +2121,44 @@ class Engine {
 
   // ---- fault tolerance -----------------------------------------------------
 
-  /// Deep snapshot of all state a recovery must restore: partition contents
-  /// plus master-side scheduling state. Deliberately excludes policy-object
+  /// One partition's share of a checkpoint generation. A base leg holds
+  /// every local's value (and state_bytes_v slot, when those are kept); a
+  /// delta leg holds only the locals dirtied since the previous published
+  /// generation. Both carry the O(frontier) state that replaces the
+  /// partition's on restore: the frontier lists, the undelivered inbox rows
+  /// of active_next members (delivery always activates its target, so no
+  /// other row holds a message), the scheduled wakes and the counters.
+  /// inbox_cur is empty at every barrier — compute drains every box it
+  /// reads — so it is never stored.
+  struct PartitionLeg {
+    /// Base legs of runs that can migrate: the partition's membership
+    /// (immutable, and so not stored, when nothing can move).
+    std::vector<VertexId> vertices;
+    /// Delta legs: the dirty locals, ascending. values and state_bytes_v
+    /// follow this list in a delta leg and the partition's locals in a base.
+    std::vector<std::uint32_t> locals;
+    std::vector<V> values;
+    std::vector<std::int64_t> state_bytes_v;
+    std::vector<std::uint32_t> active_cur, active_next;
+    /// One row per active_next entry.
+    std::vector<std::vector<M>> inbox_next;
+    std::vector<std::vector<std::uint8_t>> inbox_next_src;
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> wakes;
+    Bytes inbox_cur_bytes = 0, inbox_next_bytes = 0;
+    std::int64_t state_bytes = 0;
+    Bytes graph_bytes = 0;
+    Bytes outbuf_bytes = 0;
+    cloud::WorkerLoad load;
+  };
+
+  /// The state one checkpoint generation holds: a leg per partition plus
+  /// master-side scheduling state. Deliberately excludes policy-object
   /// internals (the job manager survives worker failures) and metrics (an
-  /// execution log, not job state).
-  struct Snapshot {
-    std::vector<PartitionState> parts;
+  /// execution log, not job state). A restore replays a restore set — the
+  /// base's values, then each delta's in order — and takes the frontier and
+  /// master state from its newest member.
+  struct Snapshot final : cloud::CkptPayload {
+    std::vector<PartitionLeg> parts;
     std::uint64_t superstep;
     Globals globals;
     std::vector<VertexId> pending_roots;
@@ -2104,25 +2170,21 @@ class Engine {
     std::uint64_t supersteps_since_initiation;
     Bytes peak_memory_since_initiation;
     std::uint64_t last_messages_sent;
-    /// Vertex location tables at snapshot time — only captured when
-    /// migration is possible this run (empty otherwise): a restore must
-    /// rewind any moves applied after the checkpoint.
+    /// Vertex location tables — only captured by base generations of runs
+    /// where migration is possible (empty otherwise): a restore must rewind
+    /// any moves applied after the checkpoint. A move forces the next
+    /// generation to be a base, so every delta shares its base's tables.
     std::vector<PartitionId> part_of;
     std::vector<std::uint32_t> local_of;
     bool migrated = false;
   };
 
-  /// Modeled size of one worker's checkpoint: algorithm state + buffered
-  /// messages + per-vertex values (the graph itself stays in blob storage).
+  /// Modeled size of one worker's full checkpoint: the full legs of the
+  /// partitions it hosts (the graph itself stays in blob storage).
   Bytes checkpoint_bytes(std::uint32_t vm) const {
     Bytes total = 0;
-    for (std::uint32_t p = 0; p < parts_.size(); ++p) {
-      if (vm_of(p) != vm) continue;
-      const PartitionState& ps = parts_[p];
-      total += static_cast<Bytes>(std::max<std::int64_t>(ps.state_bytes, 0)) +
-               ps.inbox_cur_bytes + ps.inbox_next_bytes +
-               static_cast<Bytes>(ps.vertices.size()) * sizeof(V);
-    }
+    for (std::uint32_t p = 0; p < parts_.size(); ++p)
+      if (vm_of(p) == vm) total += full_leg_bytes(p);
     return total;
   }
 
@@ -2299,12 +2361,53 @@ class Engine {
     result.metrics.control_queue_ops = queues_.total_ops();
   }
 
-  /// Deep-copy all recoverable state into a payload the checkpoint store
-  /// can hang off a generation.
-  std::shared_ptr<Snapshot> make_snapshot(std::uint64_t resume_superstep) {
+  /// Capture a generation's state for the checkpoint store: a base when
+  /// `dirty` is empty, otherwise a delta holding each partition's listed
+  /// locals (dirty_locals()).
+  std::shared_ptr<Snapshot> make_snapshot(std::uint64_t resume_superstep,
+                                          std::vector<std::vector<std::uint32_t>> dirty = {}) {
     compact_outstanding_roots();  // snapshot a tombstone-free root list
+    const bool base = dirty.empty();
     auto s = std::make_shared<Snapshot>();
-    s->parts = parts_;
+    s->parts.resize(parts_.size());
+    for (std::uint32_t p = 0; p < parts_.size(); ++p) {
+      const PartitionState& ps = parts_[p];
+      PartitionLeg& leg = s->parts[p];
+      if (base) {
+        if (migration_possible_) leg.vertices = ps.vertices;
+        leg.values = ps.values;
+        leg.state_bytes_v = ps.state_bytes_v;
+      } else {
+        leg.locals = std::move(dirty[p]);
+        leg.values.reserve(leg.locals.size());
+        for (const std::uint32_t l : leg.locals) leg.values.push_back(ps.values[l]);
+        if (!ps.state_bytes_v.empty()) {
+          leg.state_bytes_v.reserve(leg.locals.size());
+          for (const std::uint32_t l : leg.locals)
+            leg.state_bytes_v.push_back(ps.state_bytes_v[l]);
+        }
+      }
+#ifndef NDEBUG
+      for (std::uint32_t l = 0; l < ps.vertices.size(); ++l)
+        PREGEL_DCHECK(ps.inbox_cur[l].empty() &&
+                      (ps.in_active_next[l] || ps.inbox_next[l].empty()));
+#endif
+      leg.active_cur = ps.active_cur;
+      leg.active_next = ps.active_next;
+      leg.inbox_next.reserve(ps.active_next.size());
+      leg.inbox_next_src.reserve(ps.active_next.size());
+      for (const std::uint32_t l : ps.active_next) {
+        leg.inbox_next.push_back(ps.inbox_next[l]);
+        leg.inbox_next_src.push_back(ps.inbox_next_src[l]);
+      }
+      leg.wakes = ps.wakes;
+      leg.inbox_cur_bytes = ps.inbox_cur_bytes;
+      leg.inbox_next_bytes = ps.inbox_next_bytes;
+      leg.state_bytes = ps.state_bytes;
+      leg.graph_bytes = ps.graph_bytes;
+      leg.outbuf_bytes = ps.outbuf_bytes;
+      leg.load = ps.load;
+    }
     s->superstep = resume_superstep;
     s->globals = globals_;
     s->pending_roots = pending_roots_;
@@ -2316,7 +2419,7 @@ class Engine {
     s->supersteps_since_initiation = supersteps_since_initiation_;
     s->peak_memory_since_initiation = peak_memory_since_initiation_;
     s->last_messages_sent = last_messages_sent_;
-    if (migration_possible_) {
+    if (base && migration_possible_) {
       s->part_of = part_of_;
       s->local_of = local_of_;
       s->migrated = migrated_;
@@ -2331,13 +2434,14 @@ class Engine {
     ckpt_.seed_initial(make_snapshot(resume_superstep));
   }
 
-  /// The newest restorable snapshot (nullptr only when the store is empty,
-  /// i.e. fault tolerance and the governor are both off this run).
+  /// The newest generation's snapshot (nullptr only when the store is
+  /// empty, i.e. fault tolerance and the governor are both off this run).
+  /// Its master-side state is what a rewind to it resumes with.
   const Snapshot* newest_snapshot() const {
-    return static_cast<const Snapshot*>(ckpt_.newest_payload());
+    return dynamic_cast<const Snapshot*>(ckpt_.newest_payload());
   }
   Snapshot* newest_snapshot_mut() {
-    return static_cast<Snapshot*>(ckpt_.newest_payload());
+    return dynamic_cast<Snapshot*>(ckpt_.newest_payload());
   }
 
   /// Full data-leg size of one partition: algorithm state + buffered
@@ -2351,23 +2455,20 @@ class Engine {
            static_cast<Bytes>(ps.vertices.size()) * sizeof(V);
   }
 
-  /// Delta data-leg size: only vertices dirtied since the last published
-  /// generation carry their value + state, and only the undelivered inbox
-  /// (inbox_next) rides along — the consumed inbox_cur is re-derived by
-  /// replay, which is where stationary-frontier algorithms like PageRank
-  /// get their reduction. Capped at the full leg (a delta is never worth
-  /// writing bigger than its base).
-  Bytes delta_leg_bytes(std::uint32_t p) const {
+  /// Delta data-leg size: only the `dirty` locals (dirty_locals()) carry
+  /// their value + state, and only the undelivered inbox (inbox_next) rides
+  /// along — the consumed inbox_cur is re-derived by replay, which is where
+  /// stationary-frontier algorithms like PageRank get their reduction.
+  /// Capped at the full leg (a delta is never worth writing bigger than its
+  /// base).
+  Bytes delta_leg_bytes(std::uint32_t p, std::span<const std::uint32_t> dirty) const {
     const PartitionState& ps = parts_[p];
     if (ps.dirty.size() != ps.vertices.size()) return full_leg_bytes(p);
-    std::uint64_t dirty_count = 0;
-    for (const std::uint8_t f : ps.dirty) dirty_count += f;
+    const std::uint64_t dirty_count = dirty.size();
     Bytes dirty_state = 0;
     if (!ps.state_bytes_v.empty()) {
-      for (std::uint32_t l = 0; l < ps.dirty.size(); ++l)
-        if (ps.dirty[l])
-          dirty_state +=
-              static_cast<Bytes>(std::max<std::int64_t>(ps.state_bytes_v[l], 0));
+      for (const std::uint32_t l : dirty)
+        dirty_state += static_cast<Bytes>(std::max<std::int64_t>(ps.state_bytes_v[l], 0));
     } else if (!ps.vertices.empty()) {
       // No per-vertex breakdown this run: prorate the partition total by the
       // dirty share (pure integer function of modeled state — deterministic).
@@ -2378,9 +2479,23 @@ class Engine {
     return std::min(d, full_leg_bytes(p));
   }
 
+  /// Each partition's locals dirtied since the last published generation,
+  /// ascending: one pass per checkpoint round, whose lists both size the
+  /// delta legs and become their content. A partition a migration rebuilt
+  /// (bitmap not yet resized) lists every local.
+  std::vector<std::vector<std::uint32_t>> dirty_locals() const {
+    std::vector<std::vector<std::uint32_t>> dirty(parts_.size());
+    for (std::uint32_t p = 0; p < parts_.size(); ++p) {
+      const PartitionState& ps = parts_[p];
+      const auto n = static_cast<std::uint32_t>(ps.vertices.size());
+      const bool all = ps.dirty.size() != n;
+      for (std::uint32_t l = 0; l < n; ++l)
+        if (all || ps.dirty[l]) dirty[p].push_back(l);
+    }
+    return dirty;
+  }
+
   /// Successful publish: the next delta is relative to *this* generation.
-  /// Runs before make_snapshot so restored snapshots carry the cleared
-  /// flags — a replay re-dirties and re-publishes identical generations.
   void clear_dirty() {
     if (!track_dirty_) return;
     for (auto& ps : parts_) std::fill(ps.dirty.begin(), ps.dirty.end(), 0);
@@ -2410,10 +2525,12 @@ class Engine {
       // Stage this round's data legs (full base or dirty-sized delta) and
       // run the two-phase publish: legs, then the chain-hashed manifest.
       const bool base = ckpt_.next_is_base(location_version_);
+      std::vector<std::vector<std::uint32_t>> dirty;
+      if (!base) dirty = dirty_locals();
       std::vector<Bytes> leg_bytes(parts_.size());
       std::vector<std::uint32_t> home_vm(parts_.size()), home_zone(parts_.size());
       for (std::uint32_t p = 0; p < parts_.size(); ++p) {
-        leg_bytes[p] = base ? full_leg_bytes(p) : delta_leg_bytes(p);
+        leg_bytes[p] = base ? full_leg_bytes(p) : delta_leg_bytes(p, dirty[p]);
         home_vm[p] = vm_of(p);
         home_zone[p] = zones_.zone_of(vm_of(p));
       }
@@ -2432,8 +2549,9 @@ class Engine {
       t += static_cast<double>(biggest) / bw_Bps + cost_.params().queue_op_latency;
 
       if (out.published) {
-        clear_dirty();  // before the snapshot: replays re-derive identical deltas
-        ckpt_.attach_payload(make_snapshot(superstep_ + 1));
+        PREGEL_DCHECK(out.is_base == base);
+        ckpt_.attach_payload(make_snapshot(superstep_ + 1, std::move(dirty)));
+        clear_dirty();
         ++result.metrics.checkpoints_written;
         if (out.is_base) {
           ++result.metrics.checkpoint_bases;
@@ -2627,8 +2745,63 @@ class Engine {
     return total;
   }
 
-  void restore_snapshot_state(const Snapshot& s) {
-    parts_ = s.parts;
+  /// Rebuild every partition from a restore set (base first): the base's
+  /// values, each delta's dirty locals in order, then the newest member's
+  /// frontier and master-side state. Inbox rows outside that frontier are
+  /// drained — a failed superstep may have left messages anywhere.
+  void restore_snapshot_state(const cloud::CkptRestoreSet& set) {
+    std::vector<const Snapshot*> gens;
+    gens.reserve(set.size());
+    for (const auto& payload : set) gens.push_back(&dynamic_cast<const Snapshot&>(*payload));
+    const Snapshot& base = *gens.front();
+    const Snapshot& s = *gens.back();
+    for (std::uint32_t p = 0; p < parts_.size(); ++p) {
+      PartitionState& ps = parts_[p];
+      const PartitionLeg& b = base.parts[p];
+      if (!base.part_of.empty()) ps.vertices = b.vertices;
+      ps.values = b.values;
+      ps.state_bytes_v = b.state_bytes_v;
+      for (std::size_t g = 1; g < gens.size(); ++g) {
+        const PartitionLeg& d = gens[g]->parts[p];
+        for (std::size_t i = 0; i < d.locals.size(); ++i) {
+          ps.values[d.locals[i]] = d.values[i];
+          if (!d.state_bytes_v.empty()) ps.state_bytes_v[d.locals[i]] = d.state_bytes_v[i];
+        }
+      }
+
+      const PartitionLeg& f = s.parts[p];
+      const std::size_t n = ps.vertices.size();
+      ps.inbox_cur.resize(n);
+      ps.inbox_next.resize(n);
+      ps.inbox_cur_src.resize(n);
+      ps.inbox_next_src.resize(n);
+      for (std::size_t l = 0; l < n; ++l) {
+        shrink_after_drain(ps.inbox_cur[l]);
+        shrink_after_drain(ps.inbox_next[l]);
+        shrink_after_drain(ps.inbox_cur_src[l]);
+        shrink_after_drain(ps.inbox_next_src[l]);
+      }
+      ps.in_active_next.assign(n, false);
+      for (std::size_t i = 0; i < f.active_next.size(); ++i) {
+        const std::uint32_t l = f.active_next[i];
+        ps.in_active_next[l] = true;
+        ps.inbox_next[l] = f.inbox_next[i];
+        ps.inbox_next_src[l] = f.inbox_next_src[i];
+      }
+      ps.active_cur = f.active_cur;
+      ps.active_next = f.active_next;
+      ps.wakes = f.wakes;
+      ps.inbox_cur_bytes = f.inbox_cur_bytes;
+      ps.inbox_next_bytes = f.inbox_next_bytes;
+      ps.state_bytes = f.state_bytes;
+      ps.graph_bytes = f.graph_bytes;
+      ps.outbuf_bytes = f.outbuf_bytes;
+      ps.load = f.load;
+      if (track_dirty_)
+        ps.dirty.assign(n, 0);
+      else
+        ps.dirty.clear();
+    }
     globals_ = s.globals;
     globals_next_ = Globals{};
     pending_roots_ = s.pending_roots;
@@ -2643,13 +2816,13 @@ class Engine {
     peak_memory_since_initiation_ = s.peak_memory_since_initiation;
     last_messages_sent_ = s.last_messages_sent;
     superstep_ = s.superstep;
-    if (!s.part_of.empty()) {
+    if (!base.part_of.empty()) {
       // Rewind any vertex moves applied after the checkpoint: the location
       // tables must match the restored partition state exactly.
-      part_of_ = s.part_of;
-      local_of_ = s.local_of;
-      migrated_ = s.migrated;
-      parts_dirty_ = parts_dirty_ || s.migrated;
+      part_of_ = base.part_of;
+      local_of_ = base.local_of;
+      migrated_ = base.migrated;
+      parts_dirty_ = parts_dirty_ || base.migrated;
       ++location_version_;  // the location tables just changed under everyone
       recompute_baseline_memory();
     }
@@ -2718,11 +2891,11 @@ class Engine {
     return total;
   }
 
-  /// The state rollback both recovery flavors share: restore the plan's
-  /// snapshot and truncate the now-stale newer generations (the replay
+  /// The state rollback both recovery flavors share: replay the plan's
+  /// restore set and truncate the now-stale newer generations (the replay
   /// deterministically re-writes those rounds).
   void apply_restore_plan(const cloud::CkptRestorePlan& plan) {
-    restore_snapshot_state(*static_cast<const Snapshot*>(plan.payload.get()));
+    restore_snapshot_state(plan.payloads);
     ckpt_.truncate_after(plan.seq);
   }
 
@@ -2918,7 +3091,7 @@ class Engine {
     result.metrics.total_time += t;
     meter_.charge(cluster_.vm, workers_now_, t);
 
-    restore_snapshot_state(s);
+    restore_snapshot_state(ckpt_.newest_restore_set());
     // Park: move the shed roots behind every other pending root, preserving
     // relative order. The snapshot's own pending list is updated too — a
     // later failure rollback must not silently undo the parking.
@@ -2966,7 +3139,7 @@ class Engine {
     result.metrics.total_time += t;
     meter_.charge(cluster_.vm, workers_now_, t);
 
-    restore_snapshot_state(s);
+    restore_snapshot_state(ckpt_.newest_restore_set());
     governor_.on_escalated(offending);
     ++result.metrics.governed_oom_episodes;
     trace::add("engine.governor.escalations", 1);
@@ -3528,8 +3701,8 @@ class Engine {
   std::uint64_t last_messages_sent_ = 0;
 
   /// Generational checkpoint store: generation 0 (the input graph) plus
-  /// every published base/delta generation, each holding its Snapshot as an
-  /// opaque payload. See src/cloud/ckpt_store.hpp and docs/FAULTS.md.
+  /// every published base/delta generation, each holding its Snapshot (the
+  /// legs' real content). See src/cloud/ckpt_store.hpp and docs/FAULTS.md.
   cloud::CkptStore ckpt_;
   /// Delta sizing active this run (checkpointing on + delta mode on).
   bool track_dirty_ = false;

@@ -4,6 +4,7 @@
 // manifest text.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -19,10 +20,20 @@ namespace {
 
 constexpr std::uint32_t kParts = 4;
 
+/// Test payload: the resume superstep of the generation it was attached to.
+struct ResumeTag final : CkptPayload {
+  explicit ResumeTag(std::uint64_t r) : resume(r) {}
+  std::uint64_t resume;
+};
+
+std::uint64_t resume_of(const CkptPayload* p) {
+  return dynamic_cast<const ResumeTag&>(*p).resume;
+}
+
 CkptStore make_store(const CkptOptions& opts) {
   CkptStore store;
   store.configure(opts, kParts);
-  store.seed_initial(std::make_shared<int>(0));
+  store.seed_initial(std::make_shared<ResumeTag>(0));
   return store;
 }
 
@@ -34,7 +45,7 @@ CkptWriteOutcome publish(CkptStore& store, FaultInjector& faults, Bytes each,
                          std::uint64_t resume, std::uint64_t locv = 0u) {
   const auto out =
       store.write_generation(resume, locv, legs(each), homes(), zones2(), 2, faults);
-  if (out.published) store.attach_payload(std::make_shared<std::uint64_t>(resume));
+  if (out.published) store.attach_payload(std::make_shared<ResumeTag>(resume));
   return out;
 }
 
@@ -52,9 +63,9 @@ TEST(CkptStore, SeedInitialIsIdempotentAndFree) {
   CkptStore store = make_store(CkptOptions{});
   EXPECT_TRUE(store.has_checkpoint());
   EXPECT_EQ(store.newest_seq(), 0u);
-  store.seed_initial(std::make_shared<int>(1));  // no-op: gen 0 exists
+  store.seed_initial(std::make_shared<ResumeTag>(1));  // no-op: gen 0 exists
   ASSERT_EQ(store.generations().size(), 1u);
-  EXPECT_EQ(*static_cast<const int*>(store.newest_payload()), 0);
+  EXPECT_EQ(resume_of(store.newest_payload()), 0u);
   EXPECT_TRUE(store.generations().front().is_base);
 }
 
@@ -121,7 +132,14 @@ TEST(CkptStore, RestorePlanPrefersNewestIntactGeneration) {
   // Restore set = base + delta: each partition downloads both legs.
   ASSERT_EQ(plan->partition_bytes.size(), kParts);
   for (const Bytes b : plan->partition_bytes) EXPECT_EQ(b, 110u);
-  EXPECT_EQ(*static_cast<const std::uint64_t*>(plan->payload.get()), 4u);
+  // The same restore set's content, in replay order: base, then the delta.
+  ASSERT_EQ(plan->payloads.size(), 2u);
+  EXPECT_EQ(resume_of(plan->payloads[0].get()), 2u);
+  EXPECT_EQ(resume_of(plan->payloads[1].get()), 4u);
+  const CkptRestoreSet newest = store.newest_restore_set();
+  ASSERT_EQ(newest.size(), 2u);
+  EXPECT_EQ(newest[0], plan->payloads[0]);
+  EXPECT_EQ(newest[1], plan->payloads[1]);
 }
 
 TEST(CkptStore, TornDeltaLegFallsBackOneGeneration) {
