@@ -96,6 +96,11 @@ struct CkptOptions {
 /// hands them back in restore order, but never looks inside; the engine
 /// derives its snapshot type from this.
 struct CkptPayload {
+  CkptPayload() = default;
+  CkptPayload(const CkptPayload&) = delete;
+  CkptPayload& operator=(const CkptPayload&) = delete;
+  CkptPayload(CkptPayload&&) = delete;
+  CkptPayload& operator=(CkptPayload&&) = delete;
   virtual ~CkptPayload() = default;
 };
 

@@ -2463,7 +2463,6 @@ class Engine {
   /// base).
   Bytes delta_leg_bytes(std::uint32_t p, std::span<const std::uint32_t> dirty) const {
     const PartitionState& ps = parts_[p];
-    if (ps.dirty.size() != ps.vertices.size()) return full_leg_bytes(p);
     const std::uint64_t dirty_count = dirty.size();
     Bytes dirty_state = 0;
     if (!ps.state_bytes_v.empty()) {
@@ -2480,17 +2479,17 @@ class Engine {
   }
 
   /// Each partition's locals dirtied since the last published generation,
-  /// ascending: one pass per checkpoint round, whose lists both size the
-  /// delta legs and become their content. A partition a migration rebuilt
-  /// (bitmap not yet resized) lists every local.
+  /// ascending: one pass per delta round, whose lists both size the legs
+  /// and become their content. Every bitmap is sized here: only a migration
+  /// leaves one unsized, and a migration forces the next generation to be
+  /// a base.
   std::vector<std::vector<std::uint32_t>> dirty_locals() const {
     std::vector<std::vector<std::uint32_t>> dirty(parts_.size());
     for (std::uint32_t p = 0; p < parts_.size(); ++p) {
-      const PartitionState& ps = parts_[p];
-      const auto n = static_cast<std::uint32_t>(ps.vertices.size());
-      const bool all = ps.dirty.size() != n;
-      for (std::uint32_t l = 0; l < n; ++l)
-        if (all || ps.dirty[l]) dirty[p].push_back(l);
+      const std::vector<std::uint8_t>& flags = parts_[p].dirty;
+      PREGEL_DCHECK(flags.size() == parts_[p].vertices.size());
+      for (std::uint32_t l = 0; l < flags.size(); ++l)
+        if (flags[l]) dirty[p].push_back(l);
     }
     return dirty;
   }
