@@ -122,8 +122,9 @@ struct CkptLeg {
   std::uint32_t replica_repairs = 0;  ///< scrub repairs of the replica copy
 };
 
-/// One published generation: metadata + the engine state its legs hold. `seq` is the publish serial (monotonic, never reused even
-/// across rollback truncation) and the rot-draw key.
+/// One published generation: metadata + the engine state its legs hold.
+/// `seq` is the publish serial (monotonic, never reused even across
+/// rollback truncation) and the rot-draw key.
 struct CkptGeneration {
   std::uint64_t seq = 0;
   std::uint64_t resume_superstep = 0;

@@ -388,10 +388,11 @@ TEST(GoldenDigest, Apsp) {
 
 TEST(GoldenDigest, SubgraphPrograms) {
   const Graph g = watts_strogatz(400, 6, 0.2, 9);
+  const Partitioning metis = partition(g, Parts::kMetis);
   JobOptions rooted_at_0;
   rooted_at_0.roots = {0};
   check_program("subgraph-sssp", g, subgraph::SsspSubgraphProgram{}, rooted_at_0);
-  check_cell("subgraph-components/metis/fault-free", g, partition(g, Parts::kMetis),
+  check_cell("subgraph-components/metis/fault-free", g, metis,
              subgraph::ComponentsSubgraphProgram{}, base_cluster(), all_active(), false);
   // Metis-like cuts the small-world graph so well that components converge
   // before the scheduled failure; a long strip keeps the labels travelling.
@@ -399,8 +400,8 @@ TEST(GoldenDigest, SubgraphPrograms) {
                 subgraph::ComponentsSubgraphProgram{}, all_active());
   subgraph::PageRankSubgraphProgram pr;
   pr.iterations = 20;
-  check_cell("subgraph-pagerank/metis/fault-free", g, partition(g, Parts::kMetis), pr,
-             base_cluster(), all_active(), false);
+  check_cell("subgraph-pagerank/metis/fault-free", g, metis, pr, base_cluster(), all_active(),
+             false);
   // Gauss-Seidel with a finite tolerance: a converged partition is woken
   // again only at the locals a boundary delta reaches, yet its sweeps
   // rewrite every local's rank.
