@@ -9,6 +9,7 @@
 // median/p90 wall times and the engine's perf-counter totals.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -20,6 +21,7 @@
 #include "harness/bench_report.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/partitioner.hpp"
+#include "partition/rebalance.hpp"
 #include "partition/streaming.hpp"
 #include "runtime/trace.hpp"
 #include "sched/scheduler.hpp"
@@ -83,6 +85,56 @@ void BM_EngineParallelSupersteps(benchmark::State& state) {
                                                 benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EngineParallelSupersteps)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+
+/// Forced migration: every barrier moves the 256 highest-id next-active
+/// vertices of the busiest partition to the following partition, so every
+/// superstep after the first merges rank-interleaved source streams.
+class RotatingPlanner final : public MigrationPlanner {
+ public:
+  MigrationPlan plan(const RebalanceSignals& s) override {
+    MigrationPlan plan;
+    std::size_t busiest = 0;
+    for (std::size_t p = 1; p < s.active.size(); ++p)
+      if (s.active[p].size() > s.active[busiest].size()) busiest = p;
+    const auto& act = s.active[busiest];
+    const auto to = static_cast<PartitionId>((busiest + 1) % s.active.size());
+    for (std::size_t i = 0; i < std::min<std::size_t>(256, act.size()); ++i)
+      plan.moves.push_back({act[act.size() - 1 - i], static_cast<PartitionId>(busiest), to});
+    return plan;
+  }
+  std::string name() const override { return "rotating"; }
+};
+
+// The BM_EngineParallelSupersteps job with a migration forced at every
+// barrier: the merge and the aggregate replay run on migrated ranks, where
+// source partitions interleave instead of concatenating. Arg = parallelism.
+// Compare each row's wall time with the same-lane BM_EngineParallelSupersteps row.
+void BM_EngineMigratedSupersteps(benchmark::State& state) {
+  static const Graph g = barabasi_albert(120000, 8, 17);
+  ClusterConfig c;
+  c.num_partitions = 16;
+  c.initial_workers = 8;
+  c.migration.planner = std::make_shared<RotatingPlanner>();
+  c.migration.period = 1;
+  static const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+  JobOptions o;
+  o.start_all_vertices = true;
+  o.parallelism = static_cast<std::uint32_t>(state.range(0));
+  std::uint64_t messages = 0, migrations = 0;
+  for (auto _ : state) {
+    Engine<PageRankProgram> e(g, {4, 0.85}, c, parts);
+    const auto r = e.run(o);
+    messages += r.metrics.total_messages();
+    migrations += r.metrics.migrations;
+    benchmark::DoNotOptimize(r.values.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
+  state.counters["msgs/s"] = benchmark::Counter(static_cast<double>(messages),
+                                                benchmark::Counter::kIsRate);
+  state.counters["migrations"] = benchmark::Counter(
+      static_cast<double>(migrations) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_EngineMigratedSupersteps)->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Skewed-frontier traversal: ~90% of vertices (and hence of every dense
 // frontier) sit in one partition, so lane counts > 1 only pay off if dry

@@ -40,10 +40,10 @@ Seconds CostModel::compute_time(const WorkerLoad& load, const VmSpec& vm) const 
 
 Seconds CostModel::network_time(const WorkerLoad& load, const VmSpec& vm,
                                 std::uint32_t peers) const noexcept {
-  const double bytes = static_cast<double>(
-      std::max(load.bytes_sent_remote, load.bytes_received_remote));
-  const double bandwidth_Bps = vm.network_bps * params_.network_efficiency / 8.0;
-  const Seconds transfer = bandwidth_Bps > 0.0 ? bytes / bandwidth_Bps : 0.0;
+  const Seconds transfer =
+      vm.network_bps > 0.0
+          ? transfer_time(std::max(load.bytes_sent_remote, load.bytes_received_remote), vm)
+          : 0.0;
   const Seconds setup = params_.connection_setup_per_peer * peers;
   return transfer * thrash_penalty(load.memory_peak, vm) + setup;
 }
@@ -58,8 +58,7 @@ Seconds CostModel::barrier_time(std::uint32_t workers) const noexcept {
 
 Seconds CostModel::spill_transfer_time(Bytes bytes, const VmSpec& vm) const noexcept {
   if (bytes == 0) return 0.0;
-  const double bandwidth_Bps = vm.network_bps * params_.network_efficiency / 8.0;
-  const Seconds one_way = bandwidth_Bps > 0.0 ? static_cast<double>(bytes) / bandwidth_Bps : 0.0;
+  const Seconds one_way = vm.network_bps > 0.0 ? transfer_time(bytes, vm) : 0.0;
   return 2.0 * one_way;  // spill out now + read back when the pressure clears
 }
 

@@ -110,6 +110,14 @@ class CostModel {
   Seconds network_time(const WorkerLoad& load, const VmSpec& vm,
                        std::uint32_t peers) const noexcept;
 
+  /// Modeled one-way time to move `bytes` through `vm`'s NIC at effective
+  /// bandwidth: the one bandwidth formula behind every modeled transfer
+  /// (setup download, checkpoint legs, restores, migration, manifests).
+  /// No zero-bandwidth guard; callers that can see one guard themselves.
+  Seconds transfer_time(Bytes bytes, const VmSpec& vm) const noexcept {
+    return static_cast<double>(bytes) / (vm.network_bps * params_.network_efficiency / 8.0);
+  }
+
   /// Modeled barrier/control overhead for a superstep with `workers` workers:
   /// step-token dequeue + barrier-token enqueue + manager processing.
   Seconds barrier_time(std::uint32_t workers) const noexcept;

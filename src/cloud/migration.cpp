@@ -78,10 +78,9 @@ MigrationOutcome MigrationExecutor::execute(
   }
   if (out.bytes_moved == 0 && out.vertices_moved == 0) return out;
 
-  const double bw_Bps = vm_.network_bps * cost_.params().network_efficiency / 8.0;
   Bytes busiest = 0;
   for (const Bytes b : vm_bytes) busiest = std::max(busiest, b);
-  out.stall = static_cast<double>(busiest) / bw_Bps +
+  out.stall = cost_.transfer_time(busiest, vm_) +
               cost_.params().queue_op_latency + retry_extra;
   if (trace::counters_on()) {
     trace::Tracer& tr = trace::Tracer::instance();

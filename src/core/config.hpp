@@ -167,10 +167,6 @@ struct DirectionOptions {
     kAlways,  ///< always pull once any vertex broadcasts (testing/benching)
   };
   Mode mode = Mode::kAuto;
-  /// Enter pull when frontier out-arcs > total arcs / alpha.
-  double alpha = 15.0;
-  /// Return to push when frontier vertices < total vertices / beta.
-  double beta = 24.0;
 };
 
 /// Per-run options.

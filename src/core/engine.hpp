@@ -84,6 +84,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -619,23 +620,23 @@ class Engine {
 
   /// One emission captured during staged compute, pending the deterministic
   /// merge (destination partition is the scratch row index; emission order
-  /// is the vector order). sender_rank is the sender's immutable global
-  /// serial rank — after a migration the merge keys on it to reproduce the
-  /// unmigrated delivery order exactly; combine_src is the sender-side
-  /// combining domain captured at emission time; seq numbers the sender's
-  /// emissions within its compute() call so a pull-mode merge can interleave
-  /// broadcast and pointwise emissions exactly as push would.
+  /// is the vector order). rank is the sender's immutable global serial
+  /// rank, the key merge_by_rank orders delivery by at any placement;
+  /// combine_src is the sender-side combining domain captured at emission
+  /// time; seq numbers the sender's emissions within its compute() call so
+  /// a pull-mode merge can interleave broadcast and pointwise emissions
+  /// exactly as push would.
   struct StagedMessage {
     std::uint32_t target_local;
-    std::uint32_t sender_rank;
+    std::uint32_t rank;
     std::uint8_t combine_src;
     std::uint32_t seq;
     M message;
   };
 
   /// Aggregate contribution / root completion captured during staged
-  /// compute; `rank` is the emitting vertex's serial rank so the barrier
-  /// replay can reproduce the serial order even after a migration.
+  /// compute; `rank` is the emitting vertex's serial rank, the key the
+  /// barrier replay merges by.
   struct StagedAgg {
     std::uint32_t rank;
     std::uint64_t key;
@@ -687,9 +688,9 @@ class Engine {
   /// (Re)build partition state from the run's initial assignment. Also
   /// derives the immutable per-run serial order: rank_of_[v] numbers every
   /// vertex in the order an unmigrated superstep visits it (partition-major,
-  /// ascending within each partition). Message delivery in the unmigrated
-  /// run happens exactly in sender-rank order, which is what lets the
-  /// post-migration merge reproduce it bit-for-bit.
+  /// ascending within each partition). Message delivery happens exactly in
+  /// sender-rank order, migrated or not, which keeps results bit-identical
+  /// across migrations.
   void build_partitions(const std::vector<PartitionId>& assignment) {
     const VertexId n = graph_->num_vertices();
     part_of_.resize(n);
@@ -878,8 +879,7 @@ class Engine {
     // (§III: "Workers report back ... so the manager can build a mapping").
     const auto read = control_op(cloud::FaultKind::kBlobRead, result);
     const Bytes graph_file = graph_->memory_footprint();
-    const double bw_Bps = cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
-    const Seconds download = static_cast<double>(graph_file) / bw_Bps;
+    const Seconds download = cost_.transfer_time(graph_file, cluster_.vm);
     const Seconds topology = 2.0 * cost_.params().queue_op_latency +
                              cost_.params().connection_setup_per_peer * (workers_now_ - 1);
     result.metrics.setup_time = download + topology + read.extra_latency;
@@ -1091,12 +1091,13 @@ class Engine {
   }
 
   /// Apply every staged message addressed to partition q (plus q's own
-  /// staged activations/wakes). Unmigrated push: scan source partitions in
-  /// ascending order and each source's chunk rows in leaf + emission order —
-  /// ascending sender rank, whoever ran the chunks, so inbox contents (and
-  /// combiner merges) are bit-identical at any lane count. Source-side counters
-  /// go to this destination's scratch row; they cannot be written to the
-  /// source partitions here because another merge thread may own them.
+  /// staged activations/wakes). Push delivers the source partitions' staged
+  /// rows in ascending sender rank through merge_by_rank, whoever ran the
+  /// chunks and wherever the senders live now, so inbox contents (and
+  /// combiner merges) are bit-identical at any lane count and after any
+  /// migration. Source-side counters go to this destination's scratch row;
+  /// they cannot be written to the source partitions here because another
+  /// merge thread may own them.
   void merge_destination(std::uint32_t q) {
     trace::Span span("engine.merge", "superstep", "part", q);
     apply_chunk_side_effects(q);
@@ -1104,74 +1105,87 @@ class Engine {
       merge_destination_pull(q);
       return;
     }
-    if (migrated_) {
-      merge_destination_ranked(q);
-      return;
-    }
     const std::size_t n = parts_.size();
-    for (std::uint32_t src = 0; src < n; ++src) {
-      SendScratch& acc = send_scratch_[q * n + src];
-      const auto [first, last] = part_chunk_range_[src];
-      for (std::uint32_t c = first; c < last; ++c) {
-        std::vector<StagedMessage>& row = chunk_scratch_[c].out[q];
-        for (StagedMessage& s : row)
-          deliver(src, q, s.target_local, std::move(s.message), acc.load, acc.outbuf_bytes,
-                  s.combine_src);
-        row.clear();
-      }
-    }
+    merge_by_rank(
+        [this, q](std::uint32_t c) -> std::vector<StagedMessage>& {
+          return chunk_scratch_[c].out[q];
+        },
+        [this, q, n](std::uint32_t src, std::span<StagedMessage> run) {
+          SendScratch& acc = send_scratch_[q * n + src];
+          for (StagedMessage& s : run)
+            deliver(src, q, s.target_local, std::move(s.message), acc.load, acc.outbuf_bytes,
+                    s.combine_src);
+        });
   }
 
-  /// Post-migration merge for destination q: a K-way merge of the source
-  /// partitions' staged streams by sender rank. Each source's concatenated
-  /// chunk rows are rank-sorted (compute walks actives in rank order and
-  /// chunks follow leaf order) and a rank never appears under two sources
-  /// (a vertex lives in exactly one partition), so repeatedly draining the
-  /// full equal-rank run from the source with the smallest head rank
-  /// reproduces the unmigrated serial delivery order exactly. A run is
-  /// always contiguous within one chunk row because a vertex computes in
-  /// exactly one leaf.
-  void merge_destination_ranked(std::uint32_t q) {
-    const std::size_t n = parts_.size();
+  /// The one K-way merge by emitter rank: consume every source partition's
+  /// chunk logs (`log_of(chunk)`, entries carrying `.rank`) in ascending
+  /// rank, calling `on_run(src, span)` once per contiguous run and clearing
+  /// each log once drained. Each source's concatenated chunk logs are
+  /// rank-sorted (compute walks actives in rank order, chunks follow leaf
+  /// order, subgraph rows are sorted after compute) and a rank lives in
+  /// exactly one partition, so the source with the smallest head drains
+  /// everything below the runner-up source's head rank in one run.
+  /// Unmigrated ranks are partition-major, so each source drains whole and
+  /// the merge is a concatenation plus O(live sources^2) head compares.
+  /// The callables are taken by value: a local closure cannot alias the
+  /// stores `on_run` makes, so its captures stay in registers in the
+  /// per-entry loop.
+  template <class LogOf, class OnRun>
+  void merge_by_rank(LogOf log_of, OnRun on_run) {
+    const auto n = static_cast<std::uint32_t>(parts_.size());
     struct Cursor {
       std::uint32_t chunk;
+      std::uint32_t end;
       std::size_t pos;
     };
     std::vector<Cursor> cur(n);
-    for (std::uint32_t src = 0; src < n; ++src) cur[src] = {part_chunk_range_[src].first, 0};
-    const auto head = [&](std::uint32_t src) -> StagedMessage* {
-      Cursor& c = cur[src];
-      while (c.chunk < part_chunk_range_[src].second) {
-        std::vector<StagedMessage>& row = chunk_scratch_[c.chunk].out[q];
-        if (c.pos < row.size()) return &row[c.pos];
+    for (std::uint32_t src = 0; src < n; ++src)
+      cur[src] = {part_chunk_range_[src].first, part_chunk_range_[src].second, 0};
+    const auto live = [&](Cursor& c) {
+      while (c.chunk < c.end && c.pos >= log_of(c.chunk).size()) {
         ++c.chunk;
         c.pos = 0;
       }
-      return nullptr;
+      return c.chunk < c.end;
     };
     for (;;) {
-      std::uint32_t best = static_cast<std::uint32_t>(n);
+      std::uint32_t best = n;
       std::uint32_t best_rank = 0;
+      std::uint32_t bound = std::numeric_limits<std::uint32_t>::max();
       for (std::uint32_t src = 0; src < n; ++src) {
-        const StagedMessage* h = head(src);
-        if (h != nullptr && (best == n || h->sender_rank < best_rank)) {
+        if (!live(cur[src])) continue;
+        const std::uint32_t r = log_of(cur[src].chunk)[cur[src].pos].rank;
+        if (best == n || r < best_rank) {
+          if (best != n) bound = best_rank;
           best = src;
-          best_rank = h->sender_rank;
+          best_rank = r;
+        } else if (r < bound) {
+          bound = r;
         }
       }
       if (best == n) break;
+      // Test the source's last entry once, not every row's: touching each
+      // row's tail costs a cache miss per row on the unmigrated hot path.
       Cursor& c = cur[best];
-      std::vector<StagedMessage>& row = chunk_scratch_[c.chunk].out[q];
-      SendScratch& acc = send_scratch_[q * n + best];
-      while (c.pos < row.size() && row[c.pos].sender_rank == best_rank) {
-        StagedMessage& s = row[c.pos++];
-        deliver(best, q, s.target_local, std::move(s.message), acc.load, acc.outbuf_bytes,
-                s.combine_src);
+      std::uint32_t last = c.end - 1;
+      while (log_of(last).empty()) --last;  // stops at c.chunk, which is live
+      const bool whole = log_of(last).back().rank < bound;
+      for (; c.chunk < c.end; ++c.chunk, c.pos = 0) {
+        auto& log = log_of(c.chunk);
+        const auto first = log.begin() + static_cast<std::ptrdiff_t>(c.pos);
+        const auto stop =
+            whole || log.empty() || log.back().rank < bound
+                ? log.end()
+                : std::partition_point(first, log.end(),
+                                       [bound](const auto& e) { return e.rank < bound; });
+        if (stop != first) on_run(best, std::span(first, stop));
+        if (stop != log.end()) {
+          c.pos = static_cast<std::size_t>(stop - log.begin());
+          break;
+        }
+        log.clear();
       }
-    }
-    for (std::uint32_t src = 0; src < n; ++src) {
-      const auto [first, last] = part_chunk_range_[src];
-      for (std::uint32_t c = first; c < last; ++c) chunk_scratch_[c].out[q].clear();
     }
   }
 
@@ -1202,7 +1216,7 @@ class Engine {
         std::vector<StagedMessage>& row = chunk_scratch_[c].out[q];
         for (StagedMessage& s : row)
           pending.push_back(
-              Pending{s.target_local, s.sender_rank, s.seq, src, s.combine_src,
+              Pending{s.target_local, s.rank, s.seq, src, s.combine_src,
                       std::move(s.message)});
         row.clear();
       }
@@ -1293,9 +1307,10 @@ class Engine {
   /// Hand one whole partition to the program, then establish the canonical
   /// outbox order: every staged row sorted by (sender rank, emission seq).
   /// seq is unique per chunk, so the sort is a total order independent of
-  /// emission interleaving; unmigrated partition-major concatenation and the
-  /// post-migration rank merge then both deliver every inbox in ascending
-  /// sender rank — subgraph delivery order is migration-invariant.
+  /// emission interleaving. merge_by_rank needs rank-sorted source streams
+  /// and the program emits in its own order, so these sorts stay; the merge
+  /// then delivers every inbox in ascending sender rank — subgraph delivery
+  /// order is migration-invariant.
   void compute_subgraph_partition(std::uint32_t p) {
     PartitionState& ps = parts_[p];
     if (ps.active_cur.empty()) return;
@@ -1342,8 +1357,7 @@ class Engine {
     for (auto& row : cs.out)
       std::sort(row.begin(), row.end(),
                 [](const StagedMessage& a, const StagedMessage& b) {
-                  return a.sender_rank != b.sender_rank ? a.sender_rank < b.sender_rank
-                                                        : a.seq < b.seq;
+                  return a.rank != b.rank ? a.rank < b.rank : a.seq < b.seq;
                 });
     std::stable_sort(cs.aggs.begin(), cs.aggs.end(),
                      [](const StagedAgg& a, const StagedAgg& b) { return a.rank < b.rank; });
@@ -1352,77 +1366,24 @@ class Engine {
         [](const StagedRootDone& a, const StagedRootDone& b) { return a.rank < b.rank; });
   }
 
-  /// K-way merge of per-chunk logs by emitter rank across source
-  /// partitions; within one partition the concatenated chunk logs are
-  /// already rank-sorted (compute walks actives in rank order, chunks
-  /// follow leaf order), and one vertex's contributions sit contiguously in
-  /// one chunk's log.
-  template <class LogOf, class Apply>
-  void replay_rank_merged(LogOf&& log_of, Apply&& apply) {
-    const std::size_t n = parts_.size();
-    struct Cursor {
-      std::uint32_t chunk;
-      std::size_t pos;
-    };
-    std::vector<Cursor> cur(n);
-    for (std::uint32_t p = 0; p < n; ++p) cur[p] = {part_chunk_range_[p].first, 0};
-    const auto settle = [&](std::uint32_t p) {
-      Cursor& c = cur[p];
-      while (c.chunk < part_chunk_range_[p].second && c.pos >= log_of(c.chunk).size()) {
-        ++c.chunk;
-        c.pos = 0;
-      }
-      return c.chunk < part_chunk_range_[p].second;
-    };
-    for (;;) {
-      std::uint32_t best = static_cast<std::uint32_t>(n);
-      std::uint32_t best_rank = 0;
-      for (std::uint32_t p = 0; p < n; ++p) {
-        if (!settle(p)) continue;
-        const std::uint32_t r = log_of(cur[p].chunk)[cur[p].pos].rank;
-        if (best == n || r < best_rank) {
-          best = p;
-          best_rank = r;
-        }
-      }
-      if (best == n) break;
-      Cursor& c = cur[best];
-      const auto& log = log_of(c.chunk);
-      while (c.pos < log.size() && log[c.pos].rank == best_rank) apply(log[c.pos++]);
-    }
-  }
-
-  /// Replay the aggregate / root-completion logs in the exact serial order:
-  /// chunk order while unmigrated (chunk order IS serial visit order), and
-  /// a K-way merge by emitter rank after a migration. The two streams are
+  /// Replay the aggregate / root-completion logs in the exact serial order
+  /// (ascending emitter rank) through merge_by_rank. The two streams are
   /// replayed independently — an aggregate sum is order-sensitive only
   /// against other aggregate contributions, and root completions only
   /// against each other.
   void replay_staged_logs() {
-    if (!migrated_) {
-      for (std::size_t c = 0; c < chunks_.size(); ++c) {
-        ChunkScratch& cs = chunk_scratch_[c];
-        for (const StagedAgg& a : cs.aggs) agg_cur_.add(a.key, a.value);
-        cs.aggs.clear();
-        for (const StagedRootDone& r : cs.roots) mark_root_done(r.root);
-        cs.roots.clear();
-      }
-      return;
-    }
-    replay_rank_merged(
-        [this](std::uint32_t c) -> const std::vector<StagedAgg>& {
-          return chunk_scratch_[c].aggs;
-        },
-        [this](const StagedAgg& a) { agg_cur_.add(a.key, a.value); });
-    replay_rank_merged(
-        [this](std::uint32_t c) -> const std::vector<StagedRootDone>& {
+    merge_by_rank(
+        [this](std::uint32_t c) -> std::vector<StagedAgg>& { return chunk_scratch_[c].aggs; },
+        [this](std::uint32_t, std::span<StagedAgg> run) {
+          for (const StagedAgg& a : run) agg_cur_.add(a.key, a.value);
+        });
+    merge_by_rank(
+        [this](std::uint32_t c) -> std::vector<StagedRootDone>& {
           return chunk_scratch_[c].roots;
         },
-        [this](const StagedRootDone& r) { mark_root_done(r.root); });
-    for (std::size_t c = 0; c < chunks_.size(); ++c) {
-      chunk_scratch_[c].aggs.clear();
-      chunk_scratch_[c].roots.clear();
-    }
+        [this](std::uint32_t, std::span<StagedRootDone> run) {
+          for (const StagedRootDone& r : run) mark_root_done(r.root);
+        });
   }
 
   /// Whether the program opted into direction optimization
@@ -1449,8 +1410,12 @@ class Engine {
   /// Beamer-style push/pull decision from modeled frontier density only —
   /// active-vertex counts and out-degrees, never thread counts or host
   /// clocks — with hysteresis so the engine does not flap around the
-  /// threshold. Part of the bit-identity contract.
+  /// threshold: enter pull when frontier out-arcs exceed total arcs / 15,
+  /// return to push when frontier vertices drop below total vertices / 24
+  /// (Beamer's alpha and beta). Part of the bit-identity contract.
   void decide_direction() {
+    constexpr double kAlpha = 15.0;
+    constexpr double kBeta = 24.0;
     if (opts_.direction.mode == DirectionOptions::Mode::kAlways) {
       pull_mode_ = pull_this_step_ = true;
       return;
@@ -1464,11 +1429,11 @@ class Engine {
     }
     if (!pull_mode_) {
       if (static_cast<double>(frontier_arcs) >
-          static_cast<double>(graph_->num_arcs()) / opts_.direction.alpha)
+          static_cast<double>(graph_->num_arcs()) / kAlpha)
         pull_mode_ = true;
     } else {
       if (static_cast<double>(frontier_v) <
-          static_cast<double>(graph_->num_vertices()) / opts_.direction.beta)
+          static_cast<double>(graph_->num_vertices()) / kBeta)
         pull_mode_ = false;
     }
     pull_this_step_ = pull_mode_;
@@ -1880,9 +1845,7 @@ class Engine {
           const std::string args = "{\"superstep\":" + std::to_string(superstep_) +
                                    ",\"from\":" + std::to_string(workers_now_) +
                                    ",\"to\":" + std::to_string(decided) + "}";
-          trace::Tracer::instance().instant("scale.decision", "cloud", args);
-          trace::Tracer::instance().virtual_instant("scale.decision", "cloud",
-                                                    virtual_now_us_, args);
+          trace_decision("scale.decision", "cloud", args);
         }
         trace::add("engine.scale_events", 1);
         const std::vector<std::uint32_t> old_placement = placement_;
@@ -1942,9 +1905,7 @@ class Engine {
       if (moved) {
         Bytes worst = 0;
         for (Bytes b : incoming) worst = std::max(worst, b);
-        const double bw_Bps =
-            cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
-        pending_placement_cost_ = static_cast<double>(worst) / bw_Bps +
+        pending_placement_cost_ = cost_.transfer_time(worst, cluster_.vm) +
                                   cost_.params().queue_op_latency;
         placement_ = std::move(next);
         ++location_version_;
@@ -2006,9 +1967,7 @@ class Engine {
     if (trace::spans_on()) {
       const std::string args = "{\"superstep\":" + std::to_string(superstep_) +
                                ",\"workers\":" + std::to_string(workers_now_) + "}";
-      trace::Tracer::instance().instant("scale.in", "cloud", args);
-      trace::Tracer::instance().virtual_instant("scale.in", "cloud", virtual_now_us_,
-                                                args);
+      trace_decision("scale.in", "cloud", args);
     }
   }
 
@@ -2037,9 +1996,7 @@ class Engine {
               "{\"superstep\":" + std::to_string(superstep_) +
               ",\"pressure\":" + std::to_string(governor_.last_pressure()) +
               ",\"active_roots\":" + std::to_string(outstanding_count()) + "}";
-          trace::Tracer::instance().instant("governor.veto", "governor", args);
-          trace::Tracer::instance().virtual_instant("governor.veto", "governor",
-                                                    virtual_now_us_, args);
+          trace_decision("governor.veto", "governor", args);
         }
         return;
       }
@@ -2074,9 +2031,7 @@ class Engine {
           const std::string args = "{\"superstep\":" + std::to_string(superstep_) +
                                    ",\"proposed\":" + std::to_string(size) +
                                    ",\"clamped\":" + std::to_string(clamped) + "}";
-          trace::Tracer::instance().instant("governor.clamp", "governor", args);
-          trace::Tracer::instance().virtual_instant("governor.clamp", "governor",
-                                                    virtual_now_us_, args);
+          trace_decision("governor.clamp", "governor", args);
         }
         size = clamped;
       }
@@ -2108,9 +2063,7 @@ class Engine {
           std::to_string(peak_memory_since_initiation_) +
           ",\"baseline_memory\":" + std::to_string(baseline_memory_) +
           ",\"memory_target\":" + std::to_string(opts_.swath.memory_target) + "}";
-      trace::Tracer::instance().instant("swath.initiate", "swath", args);
-      trace::Tracer::instance().virtual_instant("swath.initiate", "swath",
-                                                virtual_now_us_, args);
+      trace_decision("swath.initiate", "swath", args);
     }
     trace::add("engine.swaths", 1);
     supersteps_since_initiation_ = 0;
@@ -2518,8 +2471,6 @@ class Engine {
     }
 
     Seconds t = retry_extra;
-    const double bw_Bps =
-        cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
     if (uploaded) {
       // Stage this round's data legs (full base or dirty-sized delta) and
       // run the two-phase publish: legs, then the chain-hashed manifest.
@@ -2545,7 +2496,7 @@ class Engine {
       std::vector<Bytes> vm_bytes(workers_now_, 0);
       for (std::uint32_t p = 0; p < parts_.size(); ++p) vm_bytes[vm_of(p)] += leg_bytes[p];
       for (const Bytes b : vm_bytes) biggest = std::max(biggest, b);
-      t += static_cast<double>(biggest) / bw_Bps + cost_.params().queue_op_latency;
+      t += cost_.transfer_time(biggest, cluster_.vm) + cost_.params().queue_op_latency;
 
       if (out.published) {
         PREGEL_DCHECK(out.is_base == base);
@@ -2587,7 +2538,7 @@ class Engine {
           }
           t += replica_extra;
           if (replicated && ckpt_.complete_replica_round(faults_)) {
-            t += static_cast<double>(biggest) / bw_Bps;
+            t += cost_.transfer_time(biggest, cluster_.vm);
             result.metrics.checkpoint_replicas_written += workers_now_;
             trace::add("engine.checkpoint.replicas", workers_now_);
           } else {
@@ -2630,9 +2581,7 @@ class Engine {
     result.metrics.scrub_repairs += repairs;
     if (repairs == 0) return;
     trace::add("engine.scrub.repairs", repairs);
-    const double bw_Bps =
-        cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
-    const Seconds t = static_cast<double>(out.repaired_bytes) / bw_Bps +
+    const Seconds t = cost_.transfer_time(out.repaired_bytes, cluster_.vm) +
                       static_cast<double>(repairs) * cost_.params().queue_op_latency;
     result.metrics.scrub_time += t;
     result.metrics.total_time += t;
@@ -2916,9 +2865,8 @@ class Engine {
     for (std::uint32_t w = 0; w < workers_now_; ++w)
       biggest = std::max(biggest, plan_restore_bytes(plan, w));
     const auto read = control_op(cloud::FaultKind::kBlobRead, result);
-    const double bw_Bps = cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
     Seconds t = cluster_.failure_detection_time + cluster_.vm_reacquisition_time +
-                static_cast<double>(biggest) / bw_Bps + read.extra_latency;
+                cost_.transfer_time(biggest, cluster_.vm) + read.extra_latency;
     // Recovery reads retry until they succeed; model anything beyond the
     // per-op budget as one extra deadline of stalling.
     if (!read.success) t += cluster_.retry.op_deadline;
@@ -2945,12 +2893,11 @@ class Engine {
     ++failure_epoch_;
 
     const auto read = control_op(cloud::FaultKind::kBlobRead, result);
-    const double bw_Bps = cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
     Bytes biggest_lost = 0;
     for (const std::uint32_t vm : dead)
       biggest_lost = std::max(biggest_lost, plan_restore_bytes(plan, vm));
     Seconds t = cluster_.failure_detection_time + cluster_.vm_reacquisition_time +
-                static_cast<double>(biggest_lost) / bw_Bps + read.extra_latency;
+                cost_.transfer_time(biggest_lost, cluster_.vm) + read.extra_latency;
     if (!read.success) t += cluster_.retry.op_deadline;
     result.metrics.recovery_time += t;
     result.metrics.total_time += t;
@@ -3017,14 +2964,12 @@ class Engine {
     // and the modeled transfer is strictly cheaper than the rewind.
     obs.can_scale_out = migration_possible_ && workers_now_ < cluster_.num_partitions;
     if (obs.can_scale_out && opts_.governor.scale_out_enabled) {
-      const double bw_Bps =
-          cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
       Bytes biggest = 0;
       for (std::uint32_t i = 0; i < workers_now_; ++i)
         biggest = std::max(biggest, checkpoint_bytes(i));
       const std::uint64_t replayed =
           ckpt_.has_checkpoint() ? superstep_ + 1 - newest_snapshot()->superstep : 0;
-      obs.shed_cost_estimate = static_cast<double>(biggest) / bw_Bps +
+      obs.shed_cost_estimate = cost_.transfer_time(biggest, cluster_.vm) +
                                cost_.params().queue_op_latency +
                                static_cast<double>(replayed) * last_superstep_span_;
       Bytes moved = 0;
@@ -3032,7 +2977,7 @@ class Engine {
       for (std::uint32_t p = 0; p < parts_.size(); ++p)
         if (placement_[p] != p % grown) moved += partition_resident_bytes(parts_[p]);
       obs.scale_out_cost_estimate = cluster_.scale_event_cost +
-                                    static_cast<double>(moved) / bw_Bps +
+                                    cost_.transfer_time(moved, cluster_.vm) +
                                     cost_.params().queue_op_latency;
     }
     switch (governor_.observe(obs)) {
@@ -3082,8 +3027,7 @@ class Engine {
     for (std::uint32_t i = 0; i < workers_now_; ++i)
       biggest = std::max(biggest, checkpoint_bytes(i));
     const auto read = control_op(cloud::FaultKind::kBlobRead, result);
-    const double bw_Bps = cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
-    Seconds t = static_cast<double>(biggest) / bw_Bps +
+    Seconds t = cost_.transfer_time(biggest, cluster_.vm) +
                 cost_.params().queue_op_latency + read.extra_latency;
     if (!read.success) t += cluster_.retry.op_deadline;
     result.metrics.governor_shed_time += t;
@@ -3106,9 +3050,7 @@ class Engine {
       const std::string args = "{\"superstep\":" + std::to_string(superstep_) +
                                ",\"roots_parked\":" + std::to_string(k) +
                                ",\"resume_superstep\":" + std::to_string(s.superstep) + "}";
-      trace::Tracer::instance().instant("governor.shed", "governor", args);
-      trace::Tracer::instance().virtual_instant("governor.shed", "governor",
-                                                virtual_now_us_, args);
+      trace_decision("governor.shed", "governor", args);
     }
     reinitiate_after_restore(result);
   }
@@ -3130,9 +3072,8 @@ class Engine {
     for (std::uint32_t i = 0; i < workers_now_; ++i)
       biggest = std::max(biggest, checkpoint_bytes(i));
     const auto read = control_op(cloud::FaultKind::kBlobRead, result);
-    const double bw_Bps = cluster_.vm.network_bps * cost_.params().network_efficiency / 8.0;
     Seconds t = cluster_.failure_detection_time + cluster_.vm_reacquisition_time +
-                static_cast<double>(biggest) / bw_Bps + read.extra_latency;
+                cost_.transfer_time(biggest, cluster_.vm) + read.extra_latency;
     if (!read.success) t += cluster_.retry.op_deadline;
     result.metrics.recovery_time += t;
     result.metrics.total_time += t;
@@ -3147,9 +3088,7 @@ class Engine {
                                ",\"offending_swath_size\":" + std::to_string(offending) +
                                ",\"new_swath_cap\":" + std::to_string(governor_.swath_cap()) +
                                ",\"resume_superstep\":" + std::to_string(s.superstep) + "}";
-      trace::Tracer::instance().instant("governor.escalate", "governor", args);
-      trace::Tracer::instance().virtual_instant("governor.escalate", "governor",
-                                                virtual_now_us_, args);
+      trace_decision("governor.escalate", "governor", args);
     }
     reinitiate_after_restore(result);
   }
@@ -3284,9 +3223,7 @@ class Engine {
                                ",\"why\":\"" + why + "\"" +
                                ",\"vertices\":" + std::to_string(plan.moves.size()) +
                                ",\"bytes\":" + std::to_string(out.bytes_moved) + "}";
-      trace::Tracer::instance().instant("migration.apply", "migration", args);
-      trace::Tracer::instance().virtual_instant("migration.apply", "migration",
-                                                virtual_now_us_, args);
+      trace_decision("migration.apply", "migration", args);
     }
     return true;
   }
@@ -3442,9 +3379,7 @@ class Engine {
     if (trace::spans_on()) {
       const std::string args = "{\"superstep\":" + std::to_string(superstep_) +
                                ",\"workers\":" + std::to_string(workers_now_) + "}";
-      trace::Tracer::instance().instant("governor.scale_out", "governor", args);
-      trace::Tracer::instance().virtual_instant("governor.scale_out", "governor",
-                                                virtual_now_us_, args);
+      trace_decision("governor.scale_out", "governor", args);
     }
   }
 
@@ -3601,6 +3536,14 @@ class Engine {
     return outstanding_roots_;
   }
 
+  /// Log one engine decision on both trace clocks: a host-time instant and
+  /// a modeled-time instant at virtual_now_us_, carrying the same args.
+  void trace_decision(const char* name, const char* cat, const std::string& args) {
+    trace::Tracer& tr = trace::Tracer::instance();
+    tr.instant(name, cat, args);
+    tr.virtual_instant(name, cat, virtual_now_us_, args);
+  }
+
   std::size_t outstanding_count() const noexcept {
     return outstanding_roots_.size() - root_tombstones_;
   }
@@ -3653,13 +3596,13 @@ class Engine {
   /// even as part_of_ changes, so combiner domains stay stable.
   std::vector<PartitionId> orig_part_;
   /// Immutable global serial rank per vertex (partition-major, ascending
-  /// within partition) — the key the post-migration merges order by.
+  /// within partition) — the key merge_by_rank orders by.
   std::vector<std::uint32_t> rank_of_;
   /// This run could migrate (planner installed or governor scale-out armed):
   /// keep per-vertex state bytes and always stage emissions.
   bool migration_possible_ = false;
-  /// At least one migration has been applied this run: prepare/merge/replay
-  /// switch to rank ordering.
+  /// At least one migration has been applied this run: prepare_superstep
+  /// sorts actives by rank instead of by local index.
   bool migrated_ = false;
   /// parts_ no longer match initial_assignment_; rebuild on next run.
   bool parts_dirty_ = false;

@@ -1,6 +1,6 @@
 // Graph serialization: SNAP-style whitespace edge lists (the format the
-// paper's datasets ship in) and a compact binary format used by the simulated
-// blob store. Both round-trip through Graph.
+// paper's datasets ship in) and a compact binary format. Both round-trip
+// through Graph.
 #pragma once
 
 #include <iosfwd>

@@ -126,9 +126,7 @@ void JobScheduler::log_event(Seconds t, const std::string& what) {
 }
 
 Seconds JobScheduler::manifest_transfer_time() const {
-  const double bw_Bps =
-      opts_.vm.network_bps * cost_.params().network_efficiency / 8.0;
-  return static_cast<double>(opts_.manifest_bytes) / bw_Bps +
+  return cost_.transfer_time(opts_.manifest_bytes, opts_.vm) +
          cost_.params().queue_op_latency;
 }
 
