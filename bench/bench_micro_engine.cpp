@@ -89,6 +89,9 @@ BENCHMARK(BM_EngineParallelSupersteps)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::
 /// Forced migration: every barrier moves the 256 highest-id next-active
 /// vertices of the busiest partition to the following partition, so every
 /// superstep after the first merges rank-interleaved source streams.
+/// tests/core/test_golden_digests.cpp has a 4-move copy. That file stays
+/// unedited so its digest rows keep describing the code they were generated
+/// from, and 4 moves per barrier would barely interleave this 120k-vertex job.
 class RotatingPlanner final : public MigrationPlanner {
  public:
   MigrationPlan plan(const RebalanceSignals& s) override {

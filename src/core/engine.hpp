@@ -655,6 +655,16 @@ class Engine {
     Bytes outbuf_bytes = 0;
   };
 
+  /// One source partition's read position in merge_by_rank: the chunk and
+  /// entry of its head, the head's rank, and the end of its chunk range
+  /// (chunk == end once drained).
+  struct MergeCursor {
+    std::uint32_t chunk;
+    std::uint32_t end;
+    std::uint32_t head;
+    std::size_t pos;
+  };
+
   /// One unit of stealable work: a leaf of a partition's frontier bag.
   struct ChunkRef {
     std::uint32_t partition;
@@ -852,6 +862,7 @@ class Engine {
     else
       broadcast_store_.clear();
     send_scratch_.assign(parts_.size() * parts_.size(), {});
+    merge_cursors_.assign((parts_.size() + 1) * parts_.size(), {});
 
     faults_ = cloud::FaultInjector(cluster_.faults);
     pending_retry_latency_ = 0.0;
@@ -1107,6 +1118,7 @@ class Engine {
     }
     const std::size_t n = parts_.size();
     merge_by_rank(
+        q,
         [this, q](std::uint32_t c) -> std::vector<StagedMessage>& {
           return chunk_scratch_[c].out[q];
         },
@@ -1120,68 +1132,72 @@ class Engine {
 
   /// The one K-way merge by emitter rank: consume every source partition's
   /// chunk logs (`log_of(chunk)`, entries carrying `.rank`) in ascending
-  /// rank, calling `on_run(src, span)` once per contiguous run and clearing
-  /// each log once drained. Each source's concatenated chunk logs are
-  /// rank-sorted (compute walks actives in rank order, chunks follow leaf
-  /// order, subgraph rows are sorted after compute) and a rank lives in
-  /// exactly one partition, so the source with the smallest head drains
-  /// everything below the runner-up source's head rank in one run.
-  /// Unmigrated ranks are partition-major, so each source drains whole and
-  /// the merge is a concatenation plus O(live sources^2) head compares.
-  /// The callables are taken by value: a local closure cannot alias the
-  /// stores `on_run` makes, so its captures stay in registers in the
-  /// per-entry loop.
+  /// (rank, source partition) order, calling `on_run(src, span)` once per
+  /// contiguous run and clearing each log once drained. Each source's
+  /// concatenated chunk logs are rank-sorted (compute walks actives in rank
+  /// order, chunks follow leaf order, subgraph rows are sorted after
+  /// compute), so the source with the smallest head drains everything
+  /// ordered before the runner-up source's head in one run. A message rank
+  /// is its sender's, which lives in one partition; a subgraph aggregate or
+  /// root completion carries the rank of `as` or of the root, which several
+  /// partitions may emit in one superstep, and the lower source index goes
+  /// first. Unmigrated ranks are partition-major, so each source drains
+  /// whole and the merge is a concatenation plus O(live sources^2) head
+  /// compares. `row` selects this merge's cursors in merge_cursors_, so
+  /// concurrent destination merges do not share them. The callables are
+  /// taken by value: a local closure cannot alias the stores `on_run`
+  /// makes, so its captures stay in registers in the per-entry loop.
   template <class LogOf, class OnRun>
-  void merge_by_rank(LogOf log_of, OnRun on_run) {
+  void merge_by_rank(std::uint32_t row, LogOf log_of, OnRun on_run) {
     const auto n = static_cast<std::uint32_t>(parts_.size());
-    struct Cursor {
-      std::uint32_t chunk;
-      std::uint32_t end;
-      std::size_t pos;
-    };
-    std::vector<Cursor> cur(n);
-    for (std::uint32_t src = 0; src < n; ++src)
-      cur[src] = {part_chunk_range_[src].first, part_chunk_range_[src].second, 0};
-    const auto live = [&](Cursor& c) {
+    MergeCursor* cur = merge_cursors_.data() + std::size_t{row} * n;
+    const auto settle = [&](MergeCursor& c) {
       while (c.chunk < c.end && c.pos >= log_of(c.chunk).size()) {
         ++c.chunk;
         c.pos = 0;
       }
-      return c.chunk < c.end;
+      if (c.chunk < c.end) c.head = log_of(c.chunk)[c.pos].rank;
     };
+    for (std::uint32_t src = 0; src < n; ++src) {
+      cur[src] = {part_chunk_range_[src].first, part_chunk_range_[src].second, 0, 0};
+      settle(cur[src]);
+    }
     for (;;) {
       std::uint32_t best = n;
-      std::uint32_t best_rank = 0;
-      std::uint32_t bound = std::numeric_limits<std::uint32_t>::max();
+      std::uint32_t next = n;
       for (std::uint32_t src = 0; src < n; ++src) {
-        if (!live(cur[src])) continue;
-        const std::uint32_t r = log_of(cur[src].chunk)[cur[src].pos].rank;
-        if (best == n || r < best_rank) {
-          if (best != n) bound = best_rank;
+        if (cur[src].chunk == cur[src].end) continue;
+        if (best == n || cur[src].head < cur[best].head) {
+          next = best;
           best = src;
-          best_rank = r;
-        } else if (r < bound) {
-          bound = r;
+        } else if (next == n || cur[src].head < cur[next].head) {
+          next = src;
         }
       }
       if (best == n) break;
+      // Entries ordered before the runner-up's head: ranks below it, or equal
+      // to it when the best source has the lower index. Always takes the
+      // best source's head.
+      const std::uint64_t limit = next == n ? std::uint64_t{1} << 32
+                                            : std::uint64_t{cur[next].head} + (best < next);
       // Test the source's last entry once, not every row's: touching each
       // row's tail costs a cache miss per row on the unmigrated hot path.
-      Cursor& c = cur[best];
+      MergeCursor& c = cur[best];
       std::uint32_t last = c.end - 1;
       while (log_of(last).empty()) --last;  // stops at c.chunk, which is live
-      const bool whole = log_of(last).back().rank < bound;
+      const bool whole = log_of(last).back().rank < limit;
       for (; c.chunk < c.end; ++c.chunk, c.pos = 0) {
         auto& log = log_of(c.chunk);
         const auto first = log.begin() + static_cast<std::ptrdiff_t>(c.pos);
         const auto stop =
-            whole || log.empty() || log.back().rank < bound
+            whole || log.empty() || log.back().rank < limit
                 ? log.end()
                 : std::partition_point(first, log.end(),
-                                       [bound](const auto& e) { return e.rank < bound; });
+                                       [limit](const auto& e) { return e.rank < limit; });
         if (stop != first) on_run(best, std::span(first, stop));
         if (stop != log.end()) {
           c.pos = static_cast<std::size_t>(stop - log.begin());
+          c.head = stop->rank;
           break;
         }
         log.clear();
@@ -1372,12 +1388,15 @@ class Engine {
   /// against other aggregate contributions, and root completions only
   /// against each other.
   void replay_staged_logs() {
+    const auto row = static_cast<std::uint32_t>(parts_.size());
     merge_by_rank(
+        row,
         [this](std::uint32_t c) -> std::vector<StagedAgg>& { return chunk_scratch_[c].aggs; },
         [this](std::uint32_t, std::span<StagedAgg> run) {
           for (const StagedAgg& a : run) agg_cur_.add(a.key, a.value);
         });
     merge_by_rank(
+        row,
         [this](std::uint32_t c) -> std::vector<StagedRootDone>& {
           return chunk_scratch_[c].roots;
         },
@@ -3708,6 +3727,9 @@ class Engine {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> part_chunk_range_;
   std::vector<ChunkScratch> chunk_scratch_;           ///< by chunk index
   std::vector<SendScratch> send_scratch_;             ///< [dst * P + src]
+  /// merge_by_rank cursors, [row * P + src]: row q for destination q's
+  /// merge, row P for the barrier replays.
+  std::vector<MergeCursor> merge_cursors_;
   ThreadPool::StealOutcome last_steals_{};            ///< this superstep's steals
 
   // -- direction optimization (push/pull; see header comment) ---------------

@@ -134,10 +134,9 @@ ClusterConfig with_forced_migration(ClusterConfig c,
   return c;
 }
 
-// Migration changes WHERE partitions compute, never WHAT: after a re-base
-// the inbox merge switches to the rank-ordered path, which the canonical
-// (sender rank, emit seq) outbox sort makes identical to the unmigrated
-// partition-major concatenation.
+// Migration changes WHERE partitions compute, never WHAT: the inbox merge
+// orders by sender rank at any placement, and the canonical (sender rank,
+// emit seq) outbox sort gives it rank-sorted rows to merge.
 TEST(SubgraphEngine, ReactiveMigrationPreservesValues) {
   const Graph g = watts_strogatz(500, 6, 0.2, 43);
   const ClusterConfig base_cfg = eight_partitions_four_vms();
@@ -198,6 +197,72 @@ TEST(SubgraphEngine, MetaGraphPlannerWorksOnVertexEngineToo) {
   ASSERT_FALSE(r.failed);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(r.values[v].distance, base.values[v].distance) << "vertex " << v;
+}
+
+// Root 0's partition messages every vertex at superstep 0. At superstep 1
+// every partition completes root 0 and aggregates on behalf of vertex 0, so
+// the barrier replays entries whose rank tags tie across partitions. At
+// superstep 2 each vertex stores the resulting global.
+struct SharedTagProgram {
+  static constexpr bool kSubgraphModel = true;
+  static constexpr std::uint64_t kKey = 7;
+
+  struct VertexValue {
+    double seen = 0.0;
+  };
+  using MessageValue = std::uint32_t;
+
+  static MessageValue seed_message(VertexId) { return 0; }
+  static Bytes message_payload_bytes(const MessageValue&) { return 4; }
+
+  /// Partition p's contribution. Adding 1 to +-1e17 rounds it away, so the
+  /// sum depends on the order the terms are added in.
+  static double term(std::uint32_t p) {
+    constexpr double kTerms[] = {1e17, 1.0, -1e17, 1.0};
+    return kTerms[p % 4];
+  }
+
+  template <class Ctx>
+  void compute_subgraph(Ctx& ctx) const {
+    if (ctx.superstep() == 0) {
+      for (VertexId v = 0; v < ctx.num_graph_vertices(); ++v) ctx.send(ctx.vertex_at(0), v, 1);
+    } else if (ctx.superstep() == 1) {
+      ctx.mark_root_done(0);
+      ctx.aggregate(0, kKey, term(ctx.partition()));
+      for (std::uint32_t l = 0; l < ctx.num_vertices(); ++l) ctx.remain_active(l);
+    } else {
+      for (std::uint32_t l = 0; l < ctx.num_vertices(); ++l)
+        ctx.value(l).seen = ctx.global(kKey);
+    }
+  }
+
+  template <class MCtx>
+  void master_compute(MCtx& master) const {
+    if (master.aggregates().contains(kKey))
+      master.globals().set(kKey, master.aggregates().get(kKey));
+  }
+};
+
+// Equal tags from several partitions replay in ascending partition index, at
+// any lane count; the root counts as completed once.
+TEST(SubgraphEngine, RootCompletionsAndAggregatesSharingARankReplayInPartitionOrder) {
+  const Graph g = watts_strogatz(200, 4, 0.2, 5);
+  const ClusterConfig c = eight_partitions_four_vms();
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+  double want = 0.0;
+  for (std::uint32_t p = 0; p < c.num_partitions; ++p) want += SharedTagProgram::term(p);
+  ASSERT_EQ(want, 1.0);
+  for (const std::uint32_t lanes : {1u, 4u}) {
+    Engine<SharedTagProgram> e(g, {}, c, parts);
+    JobOptions o;
+    o.roots = {0};
+    o.parallelism = lanes;
+    const auto r = e.run(o);
+    ASSERT_FALSE(r.failed) << lanes << " lanes";
+    EXPECT_EQ(r.roots_completed, 1u) << lanes << " lanes";
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      ASSERT_EQ(r.values[v].seen, want) << "vertex " << v << " at " << lanes << " lanes";
+  }
 }
 
 // Subgraph jobs are ordinary ScheduledJobs: sliced onto a contended pool,
