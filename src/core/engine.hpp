@@ -655,9 +655,8 @@ class Engine {
     Bytes outbuf_bytes = 0;
   };
 
-  /// One source partition's read position in merge_by_rank: the chunk and
-  /// entry of its head, the head's rank, and the end of its chunk range
-  /// (chunk == end once drained).
+  /// A source partition's place in merge_by_rank: its head's chunk, entry
+  /// and rank, and its chunk range's end (chunk == end once drained).
   struct MergeCursor {
     std::uint32_t chunk;
     std::uint32_t end;
@@ -1102,13 +1101,12 @@ class Engine {
   }
 
   /// Apply every staged message addressed to partition q (plus q's own
-  /// staged activations/wakes). Push delivers the source partitions' staged
-  /// rows in ascending sender rank through merge_by_rank, whoever ran the
-  /// chunks and wherever the senders live now, so inbox contents (and
-  /// combiner merges) are bit-identical at any lane count and after any
-  /// migration. Source-side counters go to this destination's scratch row;
-  /// they cannot be written to the source partitions here because another
-  /// merge thread may own them.
+  /// staged activations/wakes). Push delivers the staged rows in ascending
+  /// sender rank through merge_by_rank, whoever ran the chunks and wherever
+  /// the senders live now, so inbox contents (and combiner merges) are
+  /// bit-identical at any lane count and after any migration. Source-side
+  /// counters go to this destination's scratch row: another merge thread
+  /// may own the source partitions.
   void merge_destination(std::uint32_t q) {
     trace::Span span("engine.merge", "superstep", "part", q);
     apply_chunk_side_effects(q);
@@ -1131,36 +1129,24 @@ class Engine {
   }
 
   /// The one K-way merge by emitter rank: consume every source partition's
-  /// chunk logs (`log_of(chunk)`, entries carrying `.rank`) in ascending
-  /// (rank, source partition) order, calling `on_run(src, span)` once per
-  /// contiguous run and clearing each log once drained. Each source's
-  /// concatenated chunk logs are rank-sorted (compute walks actives in rank
-  /// order, chunks follow leaf order, subgraph rows are sorted after
-  /// compute), so the source with the smallest head drains everything
-  /// ordered before the runner-up source's head in one run. A message rank
-  /// is its sender's, which lives in one partition; a subgraph aggregate or
-  /// root completion carries the rank of `as` or of the root, which several
-  /// partitions may emit in one superstep, and the lower source index goes
-  /// first. Unmigrated ranks are partition-major, so each source drains
-  /// whole and the merge is a concatenation plus O(live sources^2) head
-  /// compares. `row` selects this merge's cursors in merge_cursors_, so
-  /// concurrent destination merges do not share them. The callables are
-  /// taken by value: a local closure cannot alias the stores `on_run`
-  /// makes, so its captures stay in registers in the per-entry loop.
+  /// chunk logs (`log_of(chunk)`, entries carrying `.rank`) in (rank, source
+  /// partition) order, calling `on_run(src, span)` once per contiguous run
+  /// and clearing each drained log. A source's logs are rank-sorted (actives
+  /// compute in rank order, chunks follow leaf order, subgraph rows are
+  /// sorted), so the first source drains everything ordered before the
+  /// runner-up's head in one run. Ranks tie across sources only for subgraph
+  /// aggregates and root completions, tagged with the vertex they name.
+  /// Unmigrated, each source drains whole. `row` picks this merge's cursors
+  /// in merge_cursors_. The callables are taken by value: a local closure
+  /// cannot alias `on_run`'s stores, so its captures stay in registers.
   template <class LogOf, class OnRun>
   void merge_by_rank(std::uint32_t row, LogOf log_of, OnRun on_run) {
     const auto n = static_cast<std::uint32_t>(parts_.size());
     MergeCursor* cur = merge_cursors_.data() + std::size_t{row} * n;
-    const auto settle = [&](MergeCursor& c) {
-      while (c.chunk < c.end && c.pos >= log_of(c.chunk).size()) {
-        ++c.chunk;
-        c.pos = 0;
-      }
-      if (c.chunk < c.end) c.head = log_of(c.chunk)[c.pos].rank;
-    };
     for (std::uint32_t src = 0; src < n; ++src) {
-      cur[src] = {part_chunk_range_[src].first, part_chunk_range_[src].second, 0, 0};
-      settle(cur[src]);
+      MergeCursor& c = cur[src] = {part_chunk_range_[src].first, part_chunk_range_[src].second, 0, 0};
+      while (c.chunk < c.end && log_of(c.chunk).empty()) ++c.chunk;
+      if (c.chunk < c.end) c.head = log_of(c.chunk).front().rank;
     }
     for (;;) {
       std::uint32_t best = n;
@@ -3727,9 +3713,7 @@ class Engine {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> part_chunk_range_;
   std::vector<ChunkScratch> chunk_scratch_;           ///< by chunk index
   std::vector<SendScratch> send_scratch_;             ///< [dst * P + src]
-  /// merge_by_rank cursors, [row * P + src]: row q for destination q's
-  /// merge, row P for the barrier replays.
-  std::vector<MergeCursor> merge_cursors_;
+  std::vector<MergeCursor> merge_cursors_;  ///< [row * P + src]; row q merges into q, row P replays
   ThreadPool::StealOutcome last_steals_{};            ///< this superstep's steals
 
   // -- direction optimization (push/pull; see header comment) ---------------
